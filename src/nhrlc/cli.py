@@ -180,8 +180,9 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         err, at = dynamics.compare(trajectories[name_a], trajectories[name_b])
         errors.append(err)
         tol = TOLERANCES["closed_vs_spectral"] if "rk" not in (name_a, name_b) else rk_tolerance(args.dt)
-        status = "ok" if err <= tol else "EXCEEDS"
-        if err > tol:
+        ok = err <= tol  # False for a NaN error
+        status = "ok" if ok else "EXCEEDS"
+        if not ok:
             failures += 1
         print(
             f"{name_a} vs {name_b}: max error {err:.3e} at t={at:g} "
@@ -189,7 +190,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
             file=sys.stderr,
         )
     if args.method == "all" and errors:
-        print(f"three-way max error: {max(errors):.3e}", file=sys.stderr)
+        print(f"three-way max error: {np.max(errors):.3e}", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -211,9 +212,25 @@ def _cmd_mequiv(args) -> int:
     return 0
 
 
+def _as_value(token: str) -> str:
+    """Keep a number such as '-4e-07' or '-inf' from being read as an option.
+
+    argparse takes a token that starts with '-' for an option unless it looks
+    like '-4' or '-0.5'. A leading space makes it a value; float() ignores it.
+    """
+    if token.startswith("-"):
+        try:
+            float(token)
+        except ValueError:
+            return token
+        return " " + token
+    return token
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args([_as_value(token) for token in argv])
     if args.command == "analyze":
         return _cmd_analyze(parser, args)
     if args.command == "sweep":

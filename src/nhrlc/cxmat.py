@@ -125,21 +125,22 @@ def inv2(m) -> np.ndarray:
     return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
 
 
-def expm(m, t: float = 1.0) -> np.ndarray:
-    """exp(t*M) for a 2x2 matrix.
+def expm(m, t=1.0) -> np.ndarray:
+    """exp(t*M) for a 2x2 matrix; an array of times gives the stack exp(t_k*M).
 
     Uses V exp(t diag) V^-1 off the degenerate band; on it, the exact
-    nilpotent split exp(t*M) = e^{t*lam} (I + t*N) with N = M - lam*I.
+    nilpotent split exp(t*M) = e^{t*lam} (I + t*N) with N = M - lam*I. The
+    result has shape ``np.shape(t) + (2, 2)``, from one eigendecomposition.
     """
     a = as_cmat(m, 2)
     values, vectors, degenerate = eig2(a)
+    ts = np.asarray(t)[..., None, None]
     if degenerate:
         lam = values[0]
         nil = a - lam * np.eye(2)
-        return np.exp(t * lam) * (np.eye(2, dtype=complex) + t * nil)
+        return np.exp(ts * lam) * (np.eye(2, dtype=complex) + ts * nil)
     vmat = np.column_stack(vectors)
-    emat = np.diag([np.exp(t * values[0]), np.exp(t * values[1])])
-    return vmat @ emat @ inv2(vmat)
+    return (vmat * np.exp(ts * np.array(values))) @ inv2(vmat)
 
 
 def sqrt_pos_hermitian(m) -> np.ndarray:

@@ -9,6 +9,12 @@
   matrix exponential of the Jordan block;
 * integrated: fixed-step classical 4th-order Runge-Kutta on i*Phi' = H*Phi,
   deterministic and reproducible, used as the independent cross-check.
+  The generator is constant, so RK4 over one grid interval is a fixed 2x2
+  matrix: it is computed once per distinct interval length, by stepping the
+  identity with the same substep rule, and each sample costs one matvec.
+
+At the exceptional point the spectral route's matrix exponential is taken
+for the whole grid in one batched call.
 
 State convention: x1 is the current, x2 its derivative; the initial state is
 (I0, -alpha*I0 - V0/L) where V0 is the accumulated capacitor voltage.
@@ -100,8 +106,7 @@ def evolve_spectral(params: CircuitParams, init: InitialData, times) -> Trajecto
     try:
         system = eigensystem(params)
     except ExceptionalPointError:
-        h = hamiltonian(params)
-        states = np.array([expm(-1j * h, t) @ state0 for t in ts])
+        states = expm(-1j * hamiltonian(params), ts) @ state0
         return Trajectory(times=ts, states=states, method="expm")
     b_plus, b_minus = expand(system, state0)
     phases_p = np.exp(-1j * system.lambda_plus * ts)[:, None]
@@ -114,7 +119,8 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     """Fixed-step RK4 states of i*Phi' = H*Phi on the given grid.
 
     Each grid interval is covered by equal substeps no longer than ``step``;
-    the grid must be increasing and start at the time of ``state0``.
+    the grid must be increasing and start at the time of ``state0``. The
+    state may be a 2-vector or a 2xk matrix (k states stepped together).
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -123,7 +129,7 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     if ts.size and np.any(np.diff(ts) <= 0):
         raise ValueError("time grid must be strictly increasing")
     state = np.asarray(state0, dtype=complex).copy()
-    out = np.empty((ts.size, state.size), dtype=complex)
+    out = np.empty((ts.size,) + state.shape, dtype=complex)
     if ts.size:
         out[0] = state
     for k in range(1, ts.size):
@@ -143,13 +149,27 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
 def evolve_integrated(
     params: CircuitParams, init: InitialData, times, step: float = 1e-3
 ) -> Trajectory:
-    """RK4 evolution of the circuit state; global error O(step^4)."""
+    """RK4 evolution of the circuit state; global error O(step^4).
+
+    Same substeps as :func:`integrate_rk4` on the grid (prefixed by t = 0
+    when it starts later), applied as one propagator per interval length.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
     ts = np.asarray(times, dtype=float)
-    if ts.size and abs(ts[0]) > 0:
-        full = np.concatenate([[0.0], ts])
-        states = integrate_rk4(hamiltonian(params), initial_state(init, params), full, step)[1:]
-    else:
-        states = integrate_rk4(hamiltonian(params), initial_state(init, params), ts, step)
+    full = np.concatenate([[0.0], ts]) if ts.size and abs(ts[0]) > 0 else ts
+    h = hamiltonian(params)
+    props: dict[float, np.ndarray] = {}  # interval length -> RK4 propagator
+    state = initial_state(init, params)
+    out = np.empty((full.size, 2), dtype=complex)
+    if full.size:
+        out[0] = state
+    for k, span in enumerate(np.diff(full), start=1):
+        if span not in props:  # integrate_rk4 rejects a non-positive length
+            props[span] = integrate_rk4(h, np.eye(2), [0.0, span], step)[1]
+        state = props[span] @ state
+        out[k] = state
+    states = out[full.size - ts.size:]
     return Trajectory(times=ts, states=states, method="integrated")
 
 

@@ -67,7 +67,7 @@ def build_report(
     violations: list[str] = []
 
     def check(name: str, value: float, tol: float) -> float:
-        if value > tol:
+        if not value <= tol:  # a NaN residual fails too
             violations.append(f"{name} = {value:.3e} exceeds {tol:.1e}")
         return float(value)
 

@@ -61,6 +61,13 @@ class TestAnalyze:
         )
         assert code == (1 if "tolerance violation" in err else 0)
 
+    def test_negative_numbers_in_exponent_form(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--R", "-4e-07", "--L", "1", "--C", "1")
+        assert code in (0, 1), err
+        report = json.loads(out)
+        assert report["input"]["resistance"] == -4e-07
+        assert report["input"]["alpha"] == -2e-07
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -191,6 +198,17 @@ class TestEvolve:
         assert methods == {"expm", "integrated"}
         assert "spectral vs rk" in err
 
+    def test_nan_error_fails_the_run(self, capsys):
+        # omega0*dt = 4 makes the RK route overflow to a NaN error
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run_cli(
+                capsys, "evolve", "--alpha", "0.1", "--omega0", "1", "--i0", "1",
+                "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
+            )
+        assert code == 1
+        assert "spectral vs rk: max error nan" in err
+        assert err.strip().splitlines()[-1] == "three-way max error: nan"
+
     def test_bad_grid_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE[:-1] + ["-0.5"])
@@ -231,6 +249,14 @@ class TestMequiv:
         h = 1j * np.array([[0, 1], [-1, -SQ2]])
         verdict = self.run(capsys, h, h)
         assert verdict["m_equivalent"] is True and verdict["similar"] is True
+
+    def test_negative_entries_in_exponent_form(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mequiv", "--matrix-a", "1", "-1e-3", "0", "0", "0", "0", "-2.5E+0", "0",
+            "--matrix-b", "1", "-1e-3", "0", "0", "0", "0", "-2.5E+0", "0",
+        )
+        assert code == 0
+        assert json.loads(out)["m_equivalent"] is True
 
     def test_wrong_arity_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -104,6 +104,22 @@ class TestExpm:
         oracle = rk4_states(gen, np.array([1.0, 0.5]), np.array([0.0, 0.7]), 1e-4)[-1]
         assert np.abs(state - oracle).max() < 1e-8
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            1j * np.array([[0, 1], [-4, -4]]),  # double eigenvalue, Jordan block
+            1j * np.array([[0, 1], [-1, -SQ2]]),
+        ],
+        ids=["degenerate", "distinct"],
+    )
+    def test_array_of_times_stacks_scalar_results(self, m):
+        ts = np.linspace(-1.0, 3.0, 9)
+        batched = expm(m, ts)
+        assert batched.shape == (9, 2, 2)
+        stacked = np.array([expm(m, t) for t in ts])
+        assert np.abs(batched - stacked).max() <= 1e-14 * np.abs(stacked).max()
+        assert expm(m, 0.5).shape == (2, 2)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         st.lists(finite, min_size=8, max_size=8),

@@ -14,6 +14,7 @@ from nhrlc import (
     evolve_integrated,
     evolve_spectral,
     gain_hamiltonian,
+    hamiltonian,
     initial_state,
     integrate_rk4,
     uniform_grid,
@@ -163,6 +164,33 @@ class TestIntegrated:
         closed = evolve_closed_form(BP_REF, REST, grid)
         err, _ = compare(closed, rk)
         assert err < 1e-9
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            uniform_grid(10.0, 0.01),  # build_report's default grid
+            np.linspace(0.35, 4.0, 301),
+            np.cumsum(np.linspace(0.002, 0.03, 150)),
+        ],
+        ids=["report-default", "late-start", "non-uniform"],
+    )
+    def test_propagators_match_stepwise_integration(self, grid):
+        for params in (BP_REF, UP_REF, EP_REF):
+            traj = evolve_integrated(params, REST, grid, step=1e-3)
+            full = grid if grid[0] == 0.0 else np.concatenate([[0.0], grid])
+            loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), full, 1e-3)
+            loop = loop[full.size - grid.size:]
+            assert np.abs(traj.states - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    def test_matrix_state_steps_each_column(self):
+        h = hamiltonian(BP_REF)
+        grid = np.array([0.0, 0.25, 0.7, 1.0])
+        stacked = integrate_rk4(h, np.eye(2), grid, 1e-2)
+        assert stacked.shape == (4, 2, 2)
+        for j, column in enumerate(np.eye(2)):
+            np.testing.assert_allclose(
+                stacked[:, :, j], integrate_rk4(h, column, grid, 1e-2), rtol=1e-14, atol=0
+            )
 
 
 class TestCompare:
