@@ -91,6 +91,7 @@ from .spectral import (
     eigensystem,
     ep_system,
     expand,
+    modes,
     pairing,
 )
 
@@ -145,6 +146,7 @@ __all__ = [
     "liouville",
     "m_equivalent",
     "metric_pair",
+    "modes",
     "ode_coefficients_2",
     "operator_norm",
     "pairing",

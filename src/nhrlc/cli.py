@@ -3,8 +3,8 @@
 Four subcommands, all emitting machine-readable output on stdout:
 
 * ``analyze``  -- full JSON report for one parameter point;
-* ``sweep``    -- CSV of both eigenvalue branches over a damping range,
-  matched by nearest continuation so coalescence plots stay smooth;
+* ``sweep``    -- CSV of both eigenvalue branches over a damping range, from
+  the closed form lambda_pm = -i*alpha +- sqrt(omega0^2 - alpha^2);
 * ``evolve``   -- CSV trajectory by one or all evolution routes, with the
   route-agreement summary on stderr;
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
@@ -23,11 +23,11 @@ import sys
 import numpy as np
 
 from . import dynamics, mequiv
-from .circuit import CircuitParams, Phase, classify, hamiltonian
-from .cxmat import eig2
+from .circuit import CircuitParams, Phase, classify
 from .errors import PhaseUnsupported
 from .metric import solve_intertwiners
-from .report import build_report, rk_tolerance, TOLERANCES
+from .report import build_report, route_agreement
+from .spectral import modes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,6 +111,8 @@ def _cmd_analyze(parser: _Parser, args) -> int:
 
 
 def _cmd_sweep(parser: _Parser, args) -> int:
+    if not np.all(np.isfinite([args.alpha_min, args.alpha_max, args.omega0])):
+        parser.error("--alpha-min, --alpha-max and --omega0 must be finite")
     if not args.alpha_min < args.alpha_max:
         parser.error("--alpha-min must be below --alpha-max")
     if args.steps < 2:
@@ -118,21 +120,13 @@ def _cmd_sweep(parser: _Parser, args) -> int:
     if args.omega0 <= 0:
         parser.error("--omega0 must be positive")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    branches = modes(alphas, args.omega0)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["alpha", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus", "phase"]
     )
-    prev: tuple[complex, complex] | None = None
-    for alpha in alphas:
+    for alpha, lam_p, lam_m in zip(alphas, branches.lambda_plus, branches.lambda_minus):
         params = CircuitParams.from_rates(float(alpha), args.omega0)
-        values, _, _ = eig2(hamiltonian(params))
-        lam_p, lam_m = values
-        if prev is not None:
-            keep = abs(lam_p - prev[0]) + abs(lam_m - prev[1])
-            swap = abs(lam_m - prev[0]) + abs(lam_p - prev[1])
-            if swap < keep:
-                lam_p, lam_m = lam_m, lam_p
-        prev = (lam_p, lam_m)
         writer.writerow(
             [
                 repr(float(alpha)),
@@ -172,26 +166,17 @@ def _cmd_evolve(parser: _Parser, args) -> int:
     for traj in trajectories.values():
         dynamics.write_csv(traj, sys.stdout)
 
-    failures = 0
-    errors = []
-    pairs = [(a, b) for i, a in enumerate(wanted) for b in wanted[i + 1:]
-             if a in trajectories and b in trajectories]
-    for name_a, name_b in pairs:
-        err, at = dynamics.compare(trajectories[name_a], trajectories[name_b])
-        errors.append(err)
-        tol = TOLERANCES["closed_vs_spectral"] if "rk" not in (name_a, name_b) else rk_tolerance(args.dt)
-        ok = err <= tol  # False for a NaN error
-        status = "ok" if ok else "EXCEEDS"
-        if not ok:
-            failures += 1
+    agreement = route_agreement(trajectories, args.dt)
+    for name_a, name_b, err, at, tol in agreement:
+        status = "ok" if err <= tol else "EXCEEDS"  # a NaN error exceeds
         print(
             f"{name_a} vs {name_b}: max error {err:.3e} at t={at:g} "
             f"(tolerance {tol:.1e}, {status})",
             file=sys.stderr,
         )
-    if args.method == "all" and errors:
-        print(f"three-way max error: {np.max(errors):.3e}", file=sys.stderr)
-    return 1 if failures else 0
+    if args.method == "all" and agreement:
+        print(f"three-way max error: {np.max([r[2] for r in agreement]):.3e}", file=sys.stderr)
+    return 1 if any(not err <= tol for _, _, err, _, tol in agreement) else 0
 
 
 def _parse_matrix(flat: list[float]) -> np.ndarray:

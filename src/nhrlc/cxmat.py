@@ -45,11 +45,6 @@ def as_cvec2(v) -> np.ndarray:
     return out
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def outer(f, g) -> np.ndarray:
     """Rank-one map |f><g|: (|f><g|) h = <g, h> f."""
     return np.outer(np.asarray(f, dtype=complex), np.conj(np.asarray(g, dtype=complex)))

@@ -164,24 +164,29 @@ def evolve_integrated(
     out = np.empty((full.size, 2), dtype=complex)
     if full.size:
         out[0] = state
-    for k, span in enumerate(np.diff(full), start=1):
-        if span not in props:  # integrate_rk4 rejects a non-positive length
-            props[span] = integrate_rk4(h, np.eye(2), [0.0, span], step)[1]
-        state = props[span] @ state
-        out[k] = state
+    # past RK4's stability limit the states overflow; the gates fail the inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, span in enumerate(np.diff(full), start=1):
+            if span not in props:  # integrate_rk4 rejects a non-positive length
+                props[span] = integrate_rk4(h, np.eye(2), [0.0, span], step)[1]
+            state = props[span] @ state
+            out[k] = state
     states = out[full.size - ts.size:]
     return Trajectory(times=ts, states=states, method="integrated")
 
 
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
-    """(max state distance over the grid, time where it occurs)."""
+    """(max state distance over the grid, time where it occurs); a non-finite
+    max (NaN if any distance is NaN) is placed at the first non-finite one."""
     if traj_a.times.shape != traj_b.times.shape or not np.array_equal(
         traj_a.times, traj_b.times
     ):
         raise GridMismatch("trajectories are sampled on different time grids")
-    dist = np.linalg.norm(traj_a.states - traj_b.states, axis=1)
-    idx = int(np.argmax(dist))
-    return float(dist[idx]), float(traj_a.times[idx])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = np.linalg.norm(traj_a.states - traj_b.states, axis=1)
+    err = float(np.max(dist))  # NaN if any distance is NaN
+    idx = int(np.argmax(dist)) if np.isfinite(err) else int(np.argmin(np.isfinite(dist)))
+    return err, float(traj_a.times[idx])
 
 
 def write_csv(traj: Trajectory, fh) -> None:

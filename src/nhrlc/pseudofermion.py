@@ -95,27 +95,17 @@ def pf_construct(a, b, a12, b12, omega=0.0, rho=0.0) -> PseudoFermionPair:
     )
 
 
-def _branch_parameters(params: CircuitParams, branch: str):
-    sign = {"plus": 1.0, "minus": -1.0}.get(branch)
-    if sign is None:
+def _branch_parameters(system: BiorthogonalSystem, branch: str):
+    """(a, b, rho, omega) of a branch; rho is the eigenvalue whose adjoint
+    partner mu = conj(rho) carries the branch's index."""
+    if branch not in ("plus", "minus"):
         raise ValueError("branch must be 'plus' or 'minus'")
-    alpha, w0 = params.alpha, params.omega0
-    if classify(params) is Phase.UNBROKEN:
-        gap = np.sqrt(alpha ** 2 - w0 ** 2)
-        big = alpha + gap
-        small = w0 ** 2 / big  # alpha - gap without cancellation
-        a = big if sign > 0 else small
-        b = small if sign > 0 else big
-        rho = -1j * (big if sign > 0 else small)
-        gamma = 1.0 / (2.0 * sign * gap)
-    else:
-        gap = np.sqrt(w0 ** 2 - alpha ** 2)
-        a = alpha + sign * 1j * gap
-        b = alpha - sign * 1j * gap
-        rho = -1j * alpha + sign * gap
-        gamma = 1.0 / (2j * sign * gap)
-    omega = 1j / gamma
-    return complex(a), complex(b), complex(rho), complex(gamma), complex(omega)
+    rho, other = system.mu_plus.conjugate(), system.mu_minus.conjugate()
+    if branch == "minus":
+        rho, other = other, rho
+    a, b = 1j * rho, 1j * other
+    # pf_construct recomputes gamma from a12, b12; omega = i/gamma = i*(a - b)
+    return a, b, rho, 1j * (a - b)
 
 
 def _ladder_basis(system: BiorthogonalSystem, rho: complex):
@@ -143,8 +133,8 @@ def pf_identify(params: CircuitParams, branch: str = "plus") -> PseudoFermionPai
         raise ExistenceViolation(
             "a = b at the exceptional point; no ladder pair exists there"
         )
-    a, b, rho, gamma, omega = _branch_parameters(params, branch)
     system = eigensystem(params)
+    a, b, rho, omega = _branch_parameters(system, branch)
     phi_m, phi_p, dual_m, dual_p = _ladder_basis(system, rho)
     a12 = complex(outer(phi_m, dual_p)[0, 1])
     b12 = complex(outer(phi_p, dual_m)[0, 1])

@@ -8,6 +8,7 @@ ones alongside the report so callers can self-diagnose.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,18 @@ TOLERANCES = {
 def rk_tolerance(step: float) -> float:
     """Documented agreement bound for the RK4 route at the given step."""
     return max(1e-9, 1e-6 * (step / 1e-3) ** 4)
+
+
+def route_agreement(trajectories: dict, rk_step: float) -> list:
+    """(a, b, max error, its time, bound) for each pair of named routes on one
+    grid, in order; pairs with "rk" are bounded by rk_tolerance(rk_step)."""
+    out = []
+    for name_a, name_b in itertools.combinations(trajectories, 2):
+        err, at = dynamics.compare(trajectories[name_a], trajectories[name_b])
+        rk_pair = "rk" in (name_a, name_b)
+        bound = rk_tolerance(rk_step) if rk_pair else TOLERANCES["closed_vs_spectral"]
+        out.append((name_a, name_b, err, at, bound))
+    return out
 
 
 def c2j(z) -> dict:
@@ -207,26 +220,20 @@ def build_report(
     init = dynamics.InitialData(
         i0=i0, v0=v0, inductance=params.inductance if params.inductance else 1.0
     )
-    spectral_traj = dynamics.evolve_spectral(params, init, grid)
-    rk_traj = dynamics.evolve_integrated(params, init, grid, step=rk_step)
+    routes = {}
+    if phase is Phase.BROKEN:
+        routes["closed"] = dynamics.evolve_closed_form(params, init, grid)
+    spectral = dynamics.evolve_spectral(params, init, grid)
+    routes[spectral.method] = spectral  # "expm" at the exceptional point
+    routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=rk_step)
     dyn: dict = {
         "t_max": float(t_max),
         "dt": float(dt),
         "rk_step": float(rk_step),
     }
-    spec_label = "expm" if spectral_traj.method == "expm" else "spectral"
-    if phase is Phase.BROKEN:
-        closed_traj = dynamics.evolve_closed_form(params, init, grid)
-        err_cs, _ = dynamics.compare(closed_traj, spectral_traj)
-        err_cr, _ = dynamics.compare(closed_traj, rk_traj)
-        dyn["closed_vs_spectral"] = check(
-            "closed_vs_spectral", err_cs, TOLERANCES["closed_vs_spectral"]
-        )
-        dyn["closed_vs_rk"] = check("closed_vs_rk", err_cr, rk_tolerance(rk_step))
-    err_sr, _ = dynamics.compare(spectral_traj, rk_traj)
-    dyn[f"{spec_label}_vs_rk"] = check(
-        f"{spec_label}_vs_rk", err_sr, rk_tolerance(rk_step)
-    )
+    for name_a, name_b, err, _, bound in route_agreement(routes, rk_step):
+        key = f"{name_a}_vs_{name_b}"
+        dyn[key] = check(key, err, bound)
     report["dynamics"] = dyn
 
     return ReportResult(report=report, violations=violations)

@@ -20,6 +20,7 @@ diverge there) and :func:`ep_system` takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,45 @@ class EpSystem:
         return pairing(self.phi_ep, self.psi_ep)
 
 
+class Modes(NamedTuple):
+    """Eigenvalues of H and H^dag and the n_phi products, elementwise."""
+
+    lambda_plus: np.ndarray
+    lambda_minus: np.ndarray
+    mu_plus: np.ndarray
+    mu_minus: np.ndarray
+    n_phi_plus: np.ndarray
+    n_phi_minus: np.ndarray
+
+
+def modes(alpha, omega0) -> Modes:
+    """Closed-form modes over arrays of (alpha, omega0), in both phases.
+
+    lambda_pm = -i*alpha +- root, root = sqrt(omega0^2 - alpha^2) (imaginary
+    for |alpha| > omega0). The larger-modulus eigenvalue (lambda- for
+    alpha >= 0, lambda+ below) comes from that formula and the other from
+    lambda+ * lambda- = det H = -omega0^2, so neither cancels. H^dag has
+    mu_pm = i*alpha +- root = -lambda_mp; the partner conj(lambda_a) of
+    lambda_a has the same index for a complex spectrum, the crossed one for
+    an imaginary spectrum. n_phi_a = omega0^2/(omega0^2 + lambda_a^2)
+    = +-omega0^2/(2*lambda_a*root) is non-finite at the EP. Zeros are +0.0.
+    """
+    # [()] turns 0-d input into numpy scalars, whose arithmetic is cheaper
+    alpha = np.asarray(alpha, dtype=float)[()]
+    w0 = np.asarray(omega0, dtype=float)[()]
+    # a root per factor: (omega0 - alpha)*(omega0 + alpha) overflows past 1e154
+    root = np.sqrt((w0 - alpha).astype(complex)) * np.sqrt((w0 + alpha).astype(complex))
+    # sign bit, not alpha < 0: at alpha = -0.0 either labelling gives the same pair
+    gain = np.signbit(alpha)
+    big = -1j * alpha - np.copysign(1.0, alpha) * root
+    small = -w0 * (w0 / big)
+    lam_p, lam_m = np.where(gain, (big, small), (small, big)) + 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_phi_p = w0 / (2.0 * lam_p) * (w0 / root) + 0.0
+        n_phi_m = -w0 / (2.0 * lam_m) * (w0 / root) + 0.0
+    return Modes(lam_p, lam_m, -lam_m + 0.0, -lam_p + 0.0, n_phi_p, n_phi_m)
+
+
 def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
     """Phase-adapted biorthogonal eigensystem with the n_psi = 1 gauge.
 
@@ -85,47 +125,20 @@ def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
             "eigensystem is ill-conditioned at the exceptional point; use ep_system"
         )
     alpha, w0 = params.alpha, params.omega0
+    if alpha <= -w0:
+        raise ValueError("alpha <= -omega0 lies outside the loss/gain phase taxonomy")
+    m = Modes(*map(complex, modes(alpha, w0)))
 
-    if phase is Phase.UNBROKEN:
-        gap = np.sqrt(alpha ** 2 - w0 ** 2)
-        # alpha - gap rewritten as w0^2/(alpha + gap): no cancellation for gap ~ alpha
-        small = w0 ** 2 / (alpha + gap)
-        lam_p, lam_m = -1j * small, -1j * (alpha + gap)
-        mu_p, mu_m = 1j * (alpha + gap), 1j * small
-        # products fixed by <phi-, psi+> = <phi+, psi-> = 1
-        prod_mp = 1.0 / (1.0 - ((gap + alpha) / w0) ** 2)
-        prod_pm = 1.0 / (1.0 - (small / w0) ** 2)
-        n_phi_m = np.conj(prod_mp)
-        n_phi_p = np.conj(prod_pm)
-    else:
-        if w0 ** 2 - alpha ** 2 <= 0:
-            raise ValueError(
-                "alpha <= -omega0 lies outside the loss/gain phase taxonomy"
-            )
-        gap = np.sqrt(w0 ** 2 - alpha ** 2)
-        lam_p, lam_m = -1j * alpha + gap, -1j * alpha - gap
-        mu_p, mu_m = 1j * alpha + gap, 1j * alpha - gap
-        # products fixed by <phi-, psi-> = <phi+, psi+> = 1
-        prod_mm = 1.0 / (1.0 + ((gap - 1j * alpha) / w0) ** 2)
-        prod_pp = 1.0 / (1.0 + ((gap + 1j * alpha) / w0) ** 2)
-        n_phi_m = np.conj(prod_mm)
-        n_phi_p = np.conj(prod_pp)
-
-    phi_p = n_phi_p * np.array([1.0, -1j * lam_p], dtype=complex)
-    phi_m = n_phi_m * np.array([1.0, -1j * lam_m], dtype=complex)
-    psi_p = np.array([1.0, -1j * mu_p / w0 ** 2], dtype=complex)
-    psi_m = np.array([1.0, -1j * mu_m / w0 ** 2], dtype=complex)
+    phi_p = m.n_phi_plus * np.array([1.0, -1j * m.lambda_plus], dtype=complex)
+    phi_m = m.n_phi_minus * np.array([1.0, -1j * m.lambda_minus], dtype=complex)
+    psi_p = np.array([1.0, -1j * m.mu_plus / w0 ** 2], dtype=complex)
+    psi_m = np.array([1.0, -1j * m.mu_minus / w0 ** 2], dtype=complex)
 
     return BiorthogonalSystem(
         phase=phase,
         alpha=alpha,
         omega0=w0,
-        lambda_plus=complex(lam_p),
-        lambda_minus=complex(lam_m),
-        mu_plus=complex(mu_p),
-        mu_minus=complex(mu_m),
-        n_phi_plus=complex(n_phi_p),
-        n_phi_minus=complex(n_phi_m),
+        **m._asdict(),
         n_psi_plus=1.0 + 0.0j,
         n_psi_minus=1.0 + 0.0j,
         phi_plus=phi_p,

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from nhrlc import CircuitParams, build_report
+from nhrlc import CircuitParams, build_report, eigensystem
 from nhrlc.cli import main
 
 SQ2 = np.sqrt(2.0)
@@ -155,6 +156,50 @@ class TestSweep:
                   "--alpha-max", "1", "--steps", "10"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "bounds", [("--alpha-min", "-inf"), ("--alpha-max", "inf"), ("--omega0", "inf")]
+    )
+    def test_non_finite_bounds_exit_2(self, capsys, bounds):
+        argv = {"--omega0": "1", "--alpha-min": "0", "--alpha-max": "2", "--steps": "5"}
+        argv[bounds[0]] = bounds[1]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *(token for pair in argv.items() for token in pair)])
+        assert excinfo.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "omega0, alpha_min, alpha_max", [(1.0, -3.0, 3.0), (1.0, -2.0, 3.0), (1e4, 0.0, 3e4)]
+    )
+    def test_labels_are_the_eigensystem_labels(self, capsys, omega0, alpha_min, alpha_max):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--omega0", repr(omega0), "--alpha-min", repr(alpha_min),
+            "--alpha-max", repr(alpha_max), "--steps", "601",
+        )
+        checked = 0
+        for r in self.rows(out):
+            alpha = float(r["alpha"])
+            if r["phase"] == "EP" or alpha <= -omega0:
+                continue
+            sys_ = eigensystem(CircuitParams.from_rates(alpha, omega0))
+            assert complex(float(r["re_lambda_plus"]), float(r["im_lambda_plus"])) == sys_.lambda_plus
+            assert complex(float(r["re_lambda_minus"]), float(r["im_lambda_minus"])) == sys_.lambda_minus
+            checked += 1
+        assert checked > 300
+
+    def test_exceptional_points_are_warning_free(self, capsys):
+        # the grid hits alpha = -omega0 and alpha = omega0 exactly
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "sweep", "--omega0", "1", "--alpha-min", "-2",
+                "--alpha-max", "2", "--steps", "5",
+            )
+        assert code == 0 and not caught and not err
+        rows = self.rows(out)
+        assert [r["alpha"] for r in rows] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
+        assert rows[3]["re_lambda_plus"] == rows[3]["re_lambda_minus"] == "0.0"
+        assert "-0.0" not in out
+
 
 class TestEvolve:
     BASE = [
@@ -208,6 +253,17 @@ class TestEvolve:
         assert code == 1
         assert "spectral vs rk: max error nan" in err
         assert err.strip().splitlines()[-1] == "three-way max error: nan"
+
+    def test_overflow_is_warning_free(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                capsys, "evolve", "--alpha", "0.1", "--omega0", "1", "--i0", "1",
+                "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
+            )
+        assert code == 1
+        assert not caught and "RuntimeWarning" not in err
+        assert "spectral vs rk: max error nan at t=744 " in err
 
     def test_bad_grid_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -9,6 +9,7 @@ from nhrlc import (
     InitialData,
     Phase,
     PhaseUnsupported,
+    Trajectory,
     compare,
     evolve_closed_form,
     evolve_integrated,
@@ -205,6 +206,14 @@ class TestCompare:
         b = evolve_spectral(BP_REF, REST, uniform_grid(1.0, 0.05))
         with pytest.raises(GridMismatch):
             compare(a, b)
+
+    def test_non_finite_error_placed_at_first_non_finite_distance(self):
+        grid = uniform_grid(5.0, 1.0)
+        a = Trajectory(times=grid, states=np.zeros((grid.size, 2), dtype=complex), method="a")
+        states = np.zeros((grid.size, 2), dtype=complex)
+        states[2, 0], states[4, 1] = np.inf, np.nan
+        err, at = compare(a, Trajectory(times=grid, states=states, method="b"))
+        assert np.isnan(err) and at == 2.0
 
 
 class TestPhysicalBounds:

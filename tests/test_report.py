@@ -1,6 +1,14 @@
 import numpy as np
 
-from nhrlc import CircuitParams, build_report
+from nhrlc import (
+    CircuitParams,
+    InitialData,
+    build_report,
+    evolve_closed_form,
+    evolve_spectral,
+    uniform_grid,
+)
+from nhrlc.report import TOLERANCES, rk_tolerance, route_agreement
 
 
 class TestGates:
@@ -15,3 +23,16 @@ class TestGates:
         assert np.isnan(dyn["closed_vs_rk"]) and np.isnan(dyn["spectral_vs_rk"])
         flagged = {line.split(" = ")[0] for line in result.violations}
         assert flagged == {"closed_vs_rk", "spectral_vs_rk"}
+
+    def test_route_agreement_bounds(self):
+        params = CircuitParams.from_rates(0.5, 1.0)
+        grid = uniform_grid(1.0, 0.1)
+        init = InitialData(i0=1.0, v0=0.0, inductance=1.0)
+        closed = evolve_closed_form(params, init, grid)
+        routes = {"closed": closed, "spectral": evolve_spectral(params, init, grid), "rk": closed}
+        pairs = [(a, b, bound) for a, b, _, _, bound in route_agreement(routes, 1e-2)]
+        assert pairs == [
+            ("closed", "spectral", TOLERANCES["closed_vs_spectral"]),
+            ("closed", "rk", rk_tolerance(1e-2)),
+            ("spectral", "rk", rk_tolerance(1e-2)),
+        ]

@@ -11,6 +11,7 @@ from nhrlc import (
     ep_system,
     expand,
     hamiltonian,
+    modes,
     pairing,
 )
 
@@ -221,3 +222,44 @@ class TestFamilyProperties:
             for a in np.linspace(1.001, 2.0, 40)
         ]
         assert all(x < y for x, y in zip(gaps_above, gaps_above[1:]))
+
+
+class TestModes:
+    FIELDS = ("lambda_plus", "lambda_minus", "mu_plus", "mu_minus", "n_phi_plus", "n_phi_minus")
+
+    def test_arrays_match_scalar_eigensystem(self):
+        # BP with loss and gain, UP, and points near both sides of the EP
+        alphas = np.array([0.0, 0.3, 0.999, -0.3, -0.999, 1.001, 1.25, 3.0, 40.0])
+        for w0 in (0.75, 1.0, 1e4):
+            grid = modes(alphas * w0, w0)
+            for k, alpha in enumerate(alphas * w0):
+                sys_ = eigensystem(CircuitParams.from_rates(alpha, w0))
+                for field in self.FIELDS:
+                    assert getattr(grid, field)[k] == getattr(sys_, field), (alpha, w0, field)
+
+    @pytest.mark.parametrize("alpha", [-1.5, -3.0, -40.0])
+    def test_gain_overdamped_matches_generic_eigensolver(self, alpha):
+        got = modes(alpha, 1.0)
+        values, _, _ = eig2(hamiltonian(CircuitParams.from_rates(alpha, 1.0)))
+        assert abs(got.lambda_plus - values[0]) < 1e-14 * abs(alpha)
+        assert abs(got.lambda_minus - values[1]) < 1e-14 * abs(alpha)
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e300])
+    def test_no_cancellation_or_overflow(self, alpha):
+        # alpha - sqrt(alpha^2 - 1) ~ 1/(2 alpha) loses every digit when
+        # subtracted, and alpha^2 overflows past 1e154
+        got = modes(np.array([alpha, -alpha]), 1.0)
+        np.testing.assert_allclose(got.lambda_plus, [-0.5j / alpha, 2j * alpha], rtol=1e-15)
+        np.testing.assert_allclose(got.lambda_minus, [-2j * alpha, 0.5j / alpha], rtol=1e-15)
+
+    def test_exceptional_point_is_warning_free(self):
+        got = modes(np.array([1.0, -1.0]), 1.0)
+        np.testing.assert_array_equal(got.lambda_plus, got.lambda_minus)
+        assert not np.any(np.isfinite(got.n_phi_plus))
+
+    def test_no_negative_zeros(self):
+        got = modes(np.array([0.0, 2.0, -2.0]), 1.0)
+        for field in self.FIELDS[:4]:
+            values = getattr(got, field)
+            assert not np.any(np.signbit(values.real) & (values.real == 0)), field
+            assert not np.any(np.signbit(values.imag) & (values.imag == 0)), field
