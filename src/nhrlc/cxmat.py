@@ -120,6 +120,22 @@ def inv2(m) -> np.ndarray:
     return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
 
 
+def mul2(a, b) -> np.ndarray:
+    """Stacked 2x2 products a @ b with the entries on the leading axes.
+
+    Both operands have shape ``(2, 2) + stack`` (broadcastable stacks). Each
+    entry of the product is one vector expression over the stack; at 2x2
+    this is several times faster than numpy's stacked ``@`` or ``einsum``.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    for i in range(2):
+        for j in range(2):
+            out[i, j] = a[i, 0] * b[0, j] + a[i, 1] * b[1, j]
+    return out
+
+
 def expm(m, t=1.0) -> np.ndarray:
     """exp(t*M) for a 2x2 matrix; an array of times gives the stack exp(t_k*M).
 

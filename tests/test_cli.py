@@ -270,6 +270,18 @@ class TestEvolve:
             main(self.BASE[:-1] + ["-0.5"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "t_max, dt",
+        [("inf", "0.01"), ("1e400", "0.01"), ("2", "inf"), ("nan", "0.01"), ("2", "nan")],
+    )
+    def test_non_finite_time_exit_2_with_one_line(self, capsys, t_max, dt):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE[:-4] + ["--t-max", t_max, "--dt", dt])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nhrlc: error: t_max and dt must be finite\n"
+
 
 class TestMequiv:
     @staticmethod

@@ -1,8 +1,10 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
+import nhrlc.dynamics
 from nhrlc import (
     CircuitParams,
     GridMismatch,
@@ -29,6 +31,7 @@ SQ2 = np.sqrt(2.0)
 BP_REF = CircuitParams.from_rates(1 / SQ2, 1.0)
 UP_REF = CircuitParams.from_rates(5 / 4, 3 / 4)
 EP_REF = CircuitParams.from_rates(2.0, 2.0)
+GAIN_REF = CircuitParams.from_rates(-0.3, 1.0)
 
 REST = InitialData(i0=1.0, v0=0.0, inductance=1.0)
 
@@ -54,6 +57,14 @@ class TestUniformGrid:
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):
             uniform_grid(10.0, -0.1)
+
+    @pytest.mark.parametrize(
+        "t_max, dt",
+        [(np.inf, 0.01), (np.nan, 0.01), (10.0, np.inf), (10.0, np.nan), (-np.inf, 0.01)],
+    )
+    def test_rejects_non_finite_inputs(self, t_max, dt):
+        with pytest.raises(ValueError, match="finite"):
+            uniform_grid(t_max, dt)
 
 
 class TestClosedForm:
@@ -182,6 +193,89 @@ class TestIntegrated:
             loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), full, 1e-3)
             loop = loop[full.size - grid.size:]
             assert np.abs(traj.states - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            uniform_grid(10.0, 1e-3),  # evolve's grid: ten scan blocks
+            np.linspace(0.0, 3.0, 2 * 1024 + 2),  # crosses two block edges
+            np.linspace(0.5, 3.0, 1025),  # late start: 1024 intervals plus the prefix
+            np.array([]),
+            np.array([0.0]),
+            np.array([0.7]),
+            np.array([0.0, 0.5]),
+        ],
+        ids=["evolve-default", "block-edges", "late-start-block", "empty", "origin", "late-point",
+             "two-points"],
+    )
+    @pytest.mark.parametrize("params", [BP_REF, UP_REF, EP_REF, GAIN_REF], ids=["BP", "UP", "EP", "gain"])
+    def test_prefix_scan_matches_stepwise_integration(self, grid, params):
+        traj = evolve_integrated(params, REST, grid, step=1e-3)
+        full = grid if grid.size == 0 or grid[0] == 0.0 else np.concatenate([[0.0], grid])
+        loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), full, 1e-3)
+        loop = loop[full.size - grid.size:]
+        assert traj.states.shape == loop.shape == (grid.size, 2)
+        err = np.abs(traj.states - loop).max(initial=0.0)
+        assert err <= 1e-12 * np.abs(loop).max(initial=0.0)
+
+    def test_one_integrator_call_per_substep_count(self, monkeypatch):
+        calls = []
+
+        def counted(h, state0, times, step):
+            calls.append(np.shape(h))
+            return integrate_rk4(h, state0, times, step)
+
+        monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", counted)
+        grid = uniform_grid(10.0, 0.01)
+        evolve_integrated(BP_REF, REST, grid, step=1e-3)
+        spans = np.diff(grid).tolist()
+        counts = {max(1, math.ceil(span / 1e-3 - 1e-12)) for span in spans}
+        assert len(calls) == len(counts)
+        assert sum(shape[0] for shape in calls) == len(set(spans))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"step": np.nan},
+            {"step": 0.0},
+            {"times": np.array([0.0, np.nan, 1.0])},
+            {"times": np.array([0.0, 1.0, np.inf])},
+            {"times": np.array([0.0, 1.0, 1.0])},
+            {"times": np.array([-1.0, 1.0])},
+        ],
+        ids=["nan-step", "zero-step", "nan-time", "inf-time", "repeated-time", "negative-start"],
+    )
+    def test_rejects_bad_step_or_grid(self, kwargs):
+        args = {"times": uniform_grid(1.0, 0.1), "step": 1e-3} | kwargs
+        with pytest.raises(ValueError):
+            evolve_integrated(BP_REF, REST, args["times"], step=args["step"])
+
+    def test_rk4_is_bitwise_the_stepwise_loop(self):
+        h = hamiltonian(BP_REF)
+        gen = -1j * h
+        times = np.linspace(0.0, 10.0, 1001)
+        state = np.array([1.0, -0.3], dtype=complex)
+        for a, b in zip(times, times[1:]):
+            n = max(1, math.ceil((b - a) / 1e-3 - 1e-12))
+            dt = (b - a) / n
+            for _ in range(n):
+                k1 = gen @ state
+                k2 = gen @ (state + 0.5 * dt * k1)
+                k3 = gen @ (state + 0.5 * dt * k2)
+                k4 = gen @ (state + dt * k3)
+                state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = integrate_rk4(h, [1.0, -0.3], times, 1e-3)[-1]
+        assert np.array_equal(got, state)
+
+    def test_generator_stack_steps_each_generator(self):
+        hs = np.array([hamiltonian(p) for p in (BP_REF, UP_REF, EP_REF, GAIN_REF)])
+        grid = np.array([0.0, 0.25, 0.7, 1.0])
+        stacked = integrate_rk4(hs, np.broadcast_to(np.eye(2), (len(hs), 2, 2)), grid, 1e-2)
+        assert stacked.shape == (4, len(hs), 2, 2)
+        for j, h in enumerate(hs):
+            np.testing.assert_allclose(
+                stacked[:, j], integrate_rk4(h, np.eye(2), grid, 1e-2), rtol=1e-14, atol=0
+            )
 
     def test_matrix_state_steps_each_column(self):
         h = hamiltonian(BP_REF)

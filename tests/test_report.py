@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nhrlc import (
     CircuitParams,
@@ -23,6 +24,14 @@ class TestGates:
         assert np.isnan(dyn["closed_vs_rk"]) and np.isnan(dyn["spectral_vs_rk"])
         flagged = {line.split(" = ")[0] for line in result.violations}
         assert flagged == {"closed_vs_rk", "spectral_vs_rk"}
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"t_max": np.inf}, {"dt": np.nan}, {"rk_step": np.nan}],
+        ids=["inf-t_max", "nan-dt", "nan-rk_step"],
+    )
+    def test_non_finite_time_inputs_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            build_report(CircuitParams.from_rates(0.5, 1.0), **kwargs)
 
     def test_route_agreement_bounds(self):
         params = CircuitParams.from_rates(0.5, 1.0)
