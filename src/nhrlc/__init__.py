@@ -19,6 +19,7 @@ from .circuit import (
     gain_hamiltonian,
     hamiltonian,
     hermitian_split,
+    phase_of,
 )
 from .cxmat import (
     Eig2,
@@ -152,6 +153,7 @@ __all__ = [
     "pairing",
     "pf_construct",
     "pf_identify",
+    "phase_of",
     "positive_pair",
     "pt_check",
     "pt_probe",

@@ -108,10 +108,15 @@ def hermitian_split(h) -> tuple[np.ndarray, np.ndarray]:
     return herm, anti
 
 
-def classify(params: CircuitParams) -> Phase:
-    """Phase of the circuit: UP (alpha > omega0), BP (alpha < omega0), EP band."""
-    if abs(params.alpha - params.omega0) <= EP_BAND_RTOL * params.omega0:
+def phase_of(alpha: float, omega0: float) -> Phase:
+    """Phase of the rates: UP (alpha > omega0), BP (alpha < omega0), EP band."""
+    if abs(alpha - omega0) <= EP_BAND_RTOL * omega0:
         return Phase.EXCEPTIONAL
-    if params.alpha > params.omega0:
+    if alpha > omega0:
         return Phase.UNBROKEN
     return Phase.BROKEN
+
+
+def classify(params: CircuitParams) -> Phase:
+    """Phase of the circuit, by :func:`phase_of` on its rates."""
+    return phase_of(params.alpha, params.omega0)

@@ -9,6 +9,10 @@ Four subcommands, all emitting machine-readable output on stdout:
   route-agreement summary on stderr;
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
 
+CSV fields are float ``repr`` strings and a plain tag, so none needs
+quoting; the rows are formatted from Python-float columns and written
+``dynamics.SCAN_BLOCK`` rows at a time.
+
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
 """
@@ -16,14 +20,13 @@ tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
 from . import dynamics, mequiv
-from .circuit import CircuitParams, Phase, classify
+from .circuit import CircuitParams, Phase, classify, phase_of
 from .errors import PhaseUnsupported
 from .metric import solve_intertwiners
 from .report import build_report, route_agreement
@@ -119,22 +122,23 @@ def _cmd_sweep(parser: _Parser, args) -> int:
         parser.error("--steps must be at least 2")
     if args.omega0 <= 0:
         parser.error("--omega0 must be positive")
+    if not np.isfinite(args.alpha_max - args.alpha_min):
+        parser.error("--alpha-max minus --alpha-min must be finite")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
     branches = modes(alphas, args.omega0)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["alpha", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus", "phase"]
-    )
-    for alpha, lam_p, lam_m in zip(alphas, branches.lambda_plus, branches.lambda_minus):
-        params = CircuitParams.from_rates(float(alpha), args.omega0)
-        writer.writerow(
-            [
-                repr(float(alpha)),
-                repr(float(lam_p.real)), repr(float(lam_p.imag)),
-                repr(float(lam_m.real)), repr(float(lam_m.imag)),
-                classify(params).value,
-            ]
+    omega0, block = args.omega0, dynamics.SCAN_BLOCK
+    sys.stdout.write("alpha,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,phase\n")
+    for lo in range(0, alphas.size, block):
+        lam_p = branches.lambda_plus[lo:lo + block]
+        lam_m = branches.lambda_minus[lo:lo + block]
+        rows = zip(
+            alphas[lo:lo + block].tolist(),
+            lam_p.real.tolist(), lam_p.imag.tolist(), lam_m.real.tolist(), lam_m.imag.tolist(),
         )
+        sys.stdout.write("".join(
+            f"{a!r},{b!r},{c!r},{d!r},{e!r},{phase_of(a, omega0).value}\n"
+            for a, b, c, d, e in rows
+        ))
     return 0
 
 

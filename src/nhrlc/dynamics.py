@@ -27,7 +27,6 @@ State convention: x1 is the current, x2 its derivative; the initial state is
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -69,7 +68,10 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
         raise ValueError("t_max and dt must be finite")
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
-    n = int(round(t_max / dt))
+    ratio = t_max / dt
+    if not np.isfinite(ratio):
+        raise ValueError("t_max / dt must be finite")
+    n = int(round(ratio))
     return np.linspace(0.0, n * dt, n + 1)
 
 
@@ -133,7 +135,7 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     together on one grid; the state is then a matching (g, 2, k) stack, for
     example the identity broadcast to (g, 2, 2) for g propagators.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     gen = -1j * np.asarray(h, dtype=complex)
     ts = np.asarray(times, dtype=float)
@@ -157,8 +159,8 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     return out
 
 
-# Intervals per block of the prefix-product scan: bounds the scan's working
-# arrays on long grids.
+# Intervals per block of the prefix-product scan, and rows per block of the
+# CSV writers: bounds their working memory on long grids.
 SCAN_BLOCK = 1024
 
 
@@ -234,17 +236,21 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
 
 
 def write_csv(traj: Trajectory, fh) -> None:
-    """Write the trajectory as CSV with a header row."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "re_x1", "im_x1", "re_x2", "im_x2", "method"])
-    for t, state in zip(traj.times, traj.states):
-        writer.writerow(
-            [
-                repr(float(t)),
-                repr(float(state[0].real)),
-                repr(float(state[0].imag)),
-                repr(float(state[1].real)),
-                repr(float(state[1].imag)),
-                traj.method,
-            ]
+    """Write the trajectory as CSV with a header row.
+
+    Each value is its float ``repr`` and the last field the method tag, a
+    plain word, so no field needs quoting. The rows are formatted and
+    written SCAN_BLOCK at a time, from the columns as Python floats.
+    """
+    times = np.asarray(traj.times, dtype=float)
+    states = np.asarray(traj.states, dtype=complex)
+    tail = f",{traj.method}\n"
+    fh.write("t,re_x1,im_x1,re_x2,im_x2,method\n")
+    for lo in range(0, times.size, SCAN_BLOCK):
+        x1 = states[lo:lo + SCAN_BLOCK, 0]
+        x2 = states[lo:lo + SCAN_BLOCK, 1]
+        rows = zip(
+            times[lo:lo + SCAN_BLOCK].tolist(),
+            x1.real.tolist(), x1.imag.tolist(), x2.real.tolist(), x2.imag.tolist(),
         )
+        fh.write("".join(f"{t!r},{a!r},{b!r},{c!r},{d!r}{tail}" for t, a, b, c, d in rows))

@@ -6,9 +6,12 @@ trajectories, scalar ODE residuals) are checked against code that shares
 nothing with the package implementation.
 """
 
+import csv
+import io
+
 import numpy as np
 
-from nhrlc import CircuitParams, classify
+from nhrlc import CircuitParams, classify, modes
 
 
 def rk4_states(gen, state0, times, step):
@@ -56,3 +59,44 @@ def random_invertible(rng, n, min_det=0.1):
         m = rng.uniform(-1.0, 1.0, size=(n, n))
         if abs(np.linalg.det(m)) > min_det:
             return m
+
+
+def reference_trajectory_csv(traj):
+    """Trajectory CSV written row by row through csv.writer and numpy scalars."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "re_x1", "im_x1", "re_x2", "im_x2", "method"])
+    for t, state in zip(traj.times, traj.states):
+        writer.writerow(
+            [
+                repr(float(t)),
+                repr(float(state[0].real)),
+                repr(float(state[0].imag)),
+                repr(float(state[1].real)),
+                repr(float(state[1].imag)),
+                traj.method,
+            ]
+        )
+    return buf.getvalue()
+
+
+def reference_sweep_csv(omega0, alpha_min, alpha_max, steps):
+    """Sweep CSV written row by row, each phase from its own CircuitParams."""
+    alphas = np.linspace(alpha_min, alpha_max, steps)
+    branches = modes(alphas, omega0)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["alpha", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus", "phase"]
+    )
+    for alpha, lam_p, lam_m in zip(alphas, branches.lambda_plus, branches.lambda_minus):
+        params = CircuitParams.from_rates(float(alpha), omega0)
+        writer.writerow(
+            [
+                repr(float(alpha)),
+                repr(float(lam_p.real)), repr(float(lam_p.imag)),
+                repr(float(lam_m.real)), repr(float(lam_m.imag)),
+                classify(params).value,
+            ]
+        )
+    return buf.getvalue()

@@ -9,6 +9,7 @@ from nhrlc import (
     hamiltonian,
     hermitian_split,
     ode_coefficients_2,
+    phase_of,
 )
 
 from helpers import deriv5, rk4_states
@@ -139,6 +140,12 @@ class TestClassify:
         assert classify(CircuitParams.from_rates(1.0 + 1e-13, 1.0)) is Phase.EXCEPTIONAL
         assert classify(CircuitParams.from_rates(1.0 + 1e-10, 1.0)) is Phase.UNBROKEN
         assert classify(CircuitParams.from_rates(1.0 - 1e-10, 1.0)) is Phase.BROKEN
+
+    def test_classify_is_phase_of_the_rates(self):
+        for alpha in (-2.0, -1.0, 0.0, 1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-12, 3.0):
+            params = CircuitParams.from_rates(alpha, 1.0)
+            assert classify(params) is phase_of(alpha, 1.0)
+        assert phase_of(1e4, 1e4) is Phase.EXCEPTIONAL
 
 
 class TestAlgebraicProperties:

@@ -9,6 +9,8 @@ import pytest
 from nhrlc import CircuitParams, build_report, eigensystem
 from nhrlc.cli import main
 
+from helpers import reference_sweep_csv
+
 SQ2 = np.sqrt(2.0)
 
 
@@ -201,6 +203,44 @@ class TestSweep:
         assert "-0.0" not in out
 
 
+    @pytest.mark.parametrize(
+        "omega0, alpha_min, alpha_max, steps",
+        [
+            (1.0, -2.0, 3.0, 1025),  # one row past a block
+            (1.0, -2.0, 3.0, 20001),  # hits alpha = +-1 exactly, 20 blocks
+            (1.0, -1.0, 1.0, 3),
+            (1.0, 1.0 - 2e-12, 1.0 + 2e-12, 9),  # rows inside the EP band
+            (1e4, 0.0, 3e4, 601),  # hits alpha = omega0 = 1e4
+            (1.0, -1e300, 1e300, 5),
+        ],
+    )
+    def test_bytes_equal_the_row_writer(self, capsys, omega0, alpha_min, alpha_max, steps):
+        code, out, err = run_cli(
+            capsys, "sweep", "--omega0", repr(omega0), "--alpha-min", repr(alpha_min),
+            "--alpha-max", repr(alpha_max), "--steps", str(steps),
+        )
+        assert code == 0 and err == ""
+        assert out == reference_sweep_csv(omega0, alpha_min, alpha_max, steps)
+
+    def test_ep_band_rows_are_labelled(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--omega0", "1", "--alpha-min", repr(1.0 - 2e-12),
+            "--alpha-max", repr(1.0 + 2e-12), "--steps", "9",
+        )
+        assert [r["phase"] for r in self.rows(out)] == ["BP"] * 2 + ["EP"] * 4 + ["UP"] * 3
+
+    def test_overflowing_range_exit_2_with_one_line(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "--omega0", "1", "--alpha-min", "-1.7e308",
+                      "--alpha-max", "1.7e308", "--steps", "3"])
+        assert excinfo.value.code == 2 and not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nhrlc: error: --alpha-max minus --alpha-min must be finite\n"
+
+
 class TestEvolve:
     BASE = [
         "evolve", "--alpha", "0.70710678", "--omega0", "1", "--i0", "1",
@@ -281,6 +321,14 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "nhrlc: error: t_max and dt must be finite\n"
+
+    def test_overflowing_sample_count_exit_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.BASE[:-4] + ["--t-max", "1e300", "--dt", "1e-300"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nhrlc: error: t_max / dt must be finite\n"
 
 
 class TestMequiv:

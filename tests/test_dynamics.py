@@ -24,7 +24,7 @@ from nhrlc import (
     write_csv,
 )
 
-from helpers import draw_params
+from helpers import draw_params, reference_trajectory_csv
 
 SQ2 = np.sqrt(2.0)
 
@@ -64,6 +64,11 @@ class TestUniformGrid:
     )
     def test_rejects_non_finite_inputs(self, t_max, dt):
         with pytest.raises(ValueError, match="finite"):
+            uniform_grid(t_max, dt)
+
+    @pytest.mark.parametrize("t_max, dt", [(1e300, 1e-300), (1e308, 0.5)])
+    def test_rejects_an_overflowing_ratio(self, t_max, dt):
+        with pytest.raises(ValueError, match="t_max / dt must be finite"):
             uniform_grid(t_max, dt)
 
 
@@ -250,6 +255,11 @@ class TestIntegrated:
         with pytest.raises(ValueError):
             evolve_integrated(BP_REF, REST, args["times"], step=args["step"])
 
+    @pytest.mark.parametrize("step", [float("nan"), 0.0, -1e-3])
+    def test_rk4_rejects_a_step_that_is_not_positive(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], [0.0, 1.0], step)
+
     def test_rk4_is_bitwise_the_stepwise_loop(self):
         h = hamiltonian(BP_REF)
         gen = -1j * h
@@ -397,3 +407,44 @@ class TestCsv:
             [[complex(float(r[1]), float(r[2])), complex(float(r[3]), float(r[4]))] for r in rows]
         )
         np.testing.assert_array_equal(rebuilt, traj.states)
+
+    @pytest.mark.parametrize("params", [BP_REF, UP_REF, EP_REF, GAIN_REF], ids=["BP", "UP", "EP", "gain"])
+    def test_bytes_equal_the_row_writer(self, params):
+        grid = uniform_grid(10.0, 1e-3)
+        for traj in (
+            evolve_spectral(params, REST, grid),
+            evolve_integrated(params, REST, grid, step=1e-3),
+        ):
+            buf = io.StringIO()
+            write_csv(traj, buf)
+            assert buf.getvalue() == reference_trajectory_csv(traj)
+
+    def test_bytes_equal_the_row_writer_on_overflow(self):
+        # omega0*dt = 4 is past RK4's stability limit: inf and NaN states
+        traj = evolve_integrated(
+            CircuitParams.from_rates(0.1, 1.0), REST, uniform_grid(2000.0, 4.0), step=4.0
+        )
+        assert not np.all(np.isfinite(traj.states)) and np.any(np.isnan(traj.states))
+        buf = io.StringIO()
+        write_csv(traj, buf)
+        assert buf.getvalue() == reference_trajectory_csv(traj)
+        assert ",inf," in buf.getvalue() and ",nan," in buf.getvalue()
+
+    def test_negative_zero_survives(self):
+        states = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]] * 2)
+        traj = Trajectory(times=np.array([-0.0, 1.0]), states=states, method="spectral")
+        buf = io.StringIO()
+        write_csv(traj, buf)
+        assert buf.getvalue() == reference_trajectory_csv(traj)
+        assert buf.getvalue().splitlines()[1] == "-0.0,-0.0,0.0,0.0,-0.0,spectral"
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_block_edges(self, n):
+        assert nhrlc.dynamics.SCAN_BLOCK == 1024
+        grid = np.linspace(0.0, 1e-3 * max(n - 1, 0), n)
+        traj = evolve_spectral(GAIN_REF, REST, grid)
+        buf = io.StringIO()
+        write_csv(traj, buf)
+        assert buf.getvalue() == reference_trajectory_csv(traj)
+        assert buf.getvalue().count("\n") == n + 1
+
