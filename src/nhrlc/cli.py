@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,14 +30,14 @@ from . import dynamics, mequiv
 from .circuit import CircuitParams, Phase, classify, phase_of
 from .errors import PhaseUnsupported
 from .metric import solve_intertwiners
-from .report import build_report, route_agreement
+from .report import build_report, exceeds, route_agreement
 from .spectral import modes
 
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser with a single-line diagnostic on stderr."""
 
-    def error(self, message):
+    def error(self, message) -> NoReturn:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -86,26 +87,20 @@ def _params_from_args(parser: _Parser, args) -> CircuitParams:
     has_rlc = any(v is not None for v in rlc)
     if has_rates == has_rlc:
         parser.error("supply exactly one of --alpha/--omega0 or --R/--L/--C")
-    try:
-        if has_rates:
-            if args.alpha is None or args.omega0 is None:
-                parser.error("both --alpha and --omega0 are required")
-            return CircuitParams.from_rates(args.alpha, args.omega0)
-        if any(v is None for v in rlc):
-            parser.error("all of --R, --L and --C are required")
-        return CircuitParams.from_rlc(args.R, args.L, args.C)
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError("unreachable")
+    if has_rates:
+        if args.alpha is None or args.omega0 is None:
+            parser.error("both --alpha and --omega0 are required")
+        return CircuitParams.from_rates(args.alpha, args.omega0)
+    if any(v is None for v in rlc):
+        parser.error("all of --R, --L and --C are required")
+    return CircuitParams.from_rlc(args.R, args.L, args.C)
 
 
 def _cmd_analyze(parser: _Parser, args) -> int:
-    params = _params_from_args(parser, args)
     try:
-        result = build_report(params)
+        result = build_report(_params_from_args(parser, args))
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
     json.dump(result.report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     for line in result.violations:
@@ -125,7 +120,10 @@ def _cmd_sweep(parser: _Parser, args) -> int:
     if not np.isfinite(args.alpha_max - args.alpha_min):
         parser.error("--alpha-max minus --alpha-min must be finite")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    branches = modes(alphas, args.omega0)
+    with np.errstate(all="ignore"):  # a non-finite eigenvalue is refused below
+        branches = modes(alphas, args.omega0)
+    if not np.isfinite([branches.lambda_plus, branches.lambda_minus]).all():
+        parser.error("an eigenvalue is not finite between --alpha-min and --alpha-max")
     omega0, block = args.omega0, dynamics.SCAN_BLOCK
     sys.stdout.write("alpha,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,phase\n")
     for lo in range(0, alphas.size, block):
@@ -149,20 +147,18 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         grid = dynamics.uniform_grid(args.t_max, args.dt)
     except ValueError as exc:
         parser.error(str(exc))
-        raise AssertionError("unreachable")
 
-    wanted = ("closed", "spectral", "rk") if args.method == "all" else (args.method,)
-    trajectories = {}
+    routes = {
+        "closed": dynamics.evolve_closed_form,
+        "spectral": dynamics.evolve_spectral,
+        "rk": lambda *route_args: dynamics.evolve_integrated(*route_args, step=args.dt),
+    }
+    if args.method != "all":
+        routes = {args.method: routes[args.method]}
+    elif classify(params) is not Phase.BROKEN:
+        del routes["closed"]  # closed form only exists in the broken phase
     try:
-        for name in wanted:
-            if name == "closed":
-                if args.method == "all" and classify(params) is not Phase.BROKEN:
-                    continue  # closed form only exists in the broken phase
-                trajectories[name] = dynamics.evolve_closed_form(params, init, grid)
-            elif name == "spectral":
-                trajectories[name] = dynamics.evolve_spectral(params, init, grid)
-            else:
-                trajectories[name] = dynamics.evolve_integrated(params, init, grid, step=args.dt)
+        trajectories = {name: route(params, init, grid) for name, route in routes.items()}
     except PhaseUnsupported as exc:
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2
@@ -172,7 +168,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
 
     agreement = route_agreement(trajectories, args.dt)
     for name_a, name_b, err, at, tol in agreement:
-        status = "ok" if err <= tol else "EXCEEDS"  # a NaN error exceeds
+        status = "EXCEEDS" if exceeds(err, tol) else "ok"
         print(
             f"{name_a} vs {name_b}: max error {err:.3e} at t={at:g} "
             f"(tolerance {tol:.1e}, {status})",
@@ -180,7 +176,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         )
     if args.method == "all" and agreement:
         print(f"three-way max error: {np.max([r[2] for r in agreement]):.3e}", file=sys.stderr)
-    return 1 if any(not err <= tol for _, _, err, _, tol in agreement) else 0
+    return 1 if any(exceeds(err, tol) for _, _, err, _, tol in agreement) else 0
 
 
 def _parse_matrix(flat: list[float]) -> np.ndarray:

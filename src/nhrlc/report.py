@@ -2,8 +2,11 @@
 
 The report is a plain JSON-serializable dict (schema 1): complex numbers are
 {"re": x, "im": y} objects, matrices nested lists of those. Every residual
-carries a documented tolerance; :func:`build_report` returns the violated
-ones alongside the report so callers can self-diagnose.
+is a gate. :data:`TOLERANCES` is the registry of gate bounds by name; the
+route pairs of the dynamics are bounded by :func:`route_agreement`, with
+:func:`rk_tolerance` for pairs with the RK route. :func:`exceeds` is the one
+verdict, and a NaN exceeds every bound. :func:`build_report` returns the
+violated gates alongside the report so callers can self-diagnose.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ TOLERANCES = {
 def rk_tolerance(step: float) -> float:
     """Documented agreement bound for the RK4 route at the given step."""
     return max(1e-9, 1e-6 * (step / 1e-3) ** 4)
+
+
+def exceeds(value: float, bound: float) -> bool:
+    """The gate verdict: a value fails unless it is at most its bound, so NaN fails."""
+    return not value <= bound
 
 
 def route_agreement(trajectories: dict, rk_step: float) -> list:
@@ -79,9 +87,10 @@ def build_report(
     h = hamiltonian(params)
     violations: list[str] = []
 
-    def check(name: str, value: float, tol: float) -> float:
-        if not value <= tol:  # a NaN residual fails too
-            violations.append(f"{name} = {value:.3e} exceeds {tol:.1e}")
+    def check(name: str, value: float, bound: float | None = None) -> float:
+        bound = TOLERANCES[name] if bound is None else bound
+        if exceeds(value, bound):
+            violations.append(f"{name} = {value:.3e} exceeds {bound:.1e}")
         return float(value)
 
     report: dict = {
@@ -96,6 +105,7 @@ def build_report(
         },
     }
 
+    ladder: dict = {"existence_violation": True}
     if phase is Phase.EXCEPTIONAL:
         ep = ep_system(params)
         report["spectral"] = {
@@ -104,16 +114,10 @@ def build_report(
             "phi_ep": [c2j(v) for v in ep.phi_ep],
             "psi_ep": [c2j(v) for v in ep.psi_ep],
             "self_orthogonality_residual": check(
-                "self_orthogonality_residual",
-                abs(ep.self_orthogonality),
-                TOLERANCES["self_orthogonality_residual"],
+                "self_orthogonality_residual", abs(ep.self_orthogonality)
             ),
         }
         report["metric"] = None
-        report["pseudofermion"] = {
-            "existence_violation": True,
-            "pt_symmetric": pseudofermion.pt_check(h).is_pt_symmetric,
-        }
     else:
         system = eigensystem(params)
         target = 1.0 if phase is Phase.BROKEN else 0.0
@@ -134,9 +138,7 @@ def build_report(
                 "phi_minus_psi_plus": c2j(np.conj(system.n_phi_minus) * system.n_psi_plus),
                 "phi_minus_psi_minus": c2j(np.conj(system.n_phi_minus) * system.n_psi_minus),
             },
-            "biorthogonality_residual": check(
-                "biorthogonality_residual", biorth, TOLERANCES["biorthogonality_residual"]
-            ),
+            "biorthogonality_residual": check("biorthogonality_residual", biorth),
         }
 
         pair = metric.metric_pair(system)
@@ -153,65 +155,40 @@ def build_report(
             "s_phi": m2j(pair.s_phi),
             "s_psi": m2j(pair.s_psi),
             "similar_hamiltonian": m2j(h_sim),
-            "inverse_residual": check(
-                "inverse_residual", inverse_residual, TOLERANCES["inverse_residual"]
-            ),
-            "mapping_residual": check(
-                "mapping_residual", mapping_residual, TOLERANCES["mapping_residual"]
-            ),
+            "inverse_residual": check("inverse_residual", inverse_residual),
+            "mapping_residual": check("mapping_residual", mapping_residual),
             "intertwining": {
-                "h_sphi": check(
-                    "intertwining_residual",
-                    inter.residual_h_sphi,
-                    TOLERANCES["intertwining_residual"],
-                ),
-                "spsi_h": check(
-                    "intertwining_residual",
-                    inter.residual_spsi_h,
-                    TOLERANCES["intertwining_residual"],
-                ),
-                "adjoint": check(
-                    "intertwining_residual",
-                    inter.residual_adjoint,
-                    TOLERANCES["intertwining_residual"],
-                ),
+                "h_sphi": check("intertwining_residual", inter.residual_h_sphi),
+                "spsi_h": check("intertwining_residual", inter.residual_spsi_h),
+                "adjoint": check("intertwining_residual", inter.residual_adjoint),
             },
         }
 
         try:
             pf = pseudofermion.pf_identify(params, "plus")
             anticomm = operator_norm(pf.c_op @ pf.cc_op + pf.cc_op @ pf.c_op - np.eye(2))
-            report["pseudofermion"] = {
+            ladder = {
                 "a": c2j(pf.a),
                 "b": c2j(pf.b),
                 "gamma": c2j(pf.gamma),
                 "omega": c2j(pf.omega),
                 "rho": c2j(pf.rho),
-                "anticommutator_residual": check(
-                    "anticommutator_residual", anticomm, TOLERANCES["anticommutator_residual"]
-                ),
+                "anticommutator_residual": check("anticommutator_residual", anticomm),
                 "c_squared_residual": check(
-                    "nilpotency_residual",
-                    operator_norm(pf.c_op @ pf.c_op),
-                    TOLERANCES["nilpotency_residual"],
+                    "nilpotency_residual", operator_norm(pf.c_op @ pf.c_op)
                 ),
                 "cc_squared_residual": check(
-                    "nilpotency_residual",
-                    operator_norm(pf.cc_op @ pf.cc_op),
-                    TOLERANCES["nilpotency_residual"],
+                    "nilpotency_residual", operator_norm(pf.cc_op @ pf.cc_op)
                 ),
                 "hamiltonian_residual": check(
                     "hamiltonian_residual",
                     float(np.abs(pseudofermion.hpf_build(pf) - h).max()),
-                    TOLERANCES["hamiltonian_residual"],
                 ),
-                "pt_symmetric": pseudofermion.pt_check(h).is_pt_symmetric,
             }
         except ExistenceViolation:
-            report["pseudofermion"] = {
-                "existence_violation": True,
-                "pt_symmetric": pseudofermion.pt_check(h).is_pt_symmetric,
-            }
+            pass  # no ladder: the report keeps existence_violation
+    ladder["pt_symmetric"] = pseudofermion.pt_check(h).is_pt_symmetric
+    report["pseudofermion"] = ladder
 
     tr, det = trace_det(h)
     report["equivalence"] = {"trace": c2j(tr), "det": c2j(det)}

@@ -240,6 +240,35 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "nhrlc: error: --alpha-max minus --alpha-min must be finite\n"
 
+    @pytest.mark.parametrize("omega0, alpha_min, alpha_max", [
+        ("1", "-1.7e308", "0"), ("1e308", "0", "1.7e308"), ("5e-324", "0", "1e-300"),
+    ])
+    def test_non_finite_eigenvalue_exit_2_with_one_line(self, capsys, omega0, alpha_min, alpha_max):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sweep", "--omega0", omega0, "--alpha-min", alpha_min,
+                      "--alpha-max", alpha_max, "--steps", "3"])
+        assert excinfo.value.code == 2 and not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "nhrlc: error: an eigenvalue is not finite between --alpha-min and --alpha-max\n"
+        )
+
+    def test_overflow_outside_the_eigenvalues_is_warning_free(self, capsys):
+        # only the unprinted n_phi products overflow on this range
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "sweep", "--omega0", "1", "--alpha-min", "-8.5e307",
+                "--alpha-max", "0", "--steps", "3",
+            )
+        assert code == 0 and err == "" and not caught
+        rows = self.rows(out)
+        assert len(rows) == 3
+        assert all(np.isfinite(float(v)) for r in rows for k, v in r.items() if k != "phase")
+
 
 class TestEvolve:
     BASE = [

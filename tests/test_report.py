@@ -9,7 +9,11 @@ from nhrlc import (
     evolve_spectral,
     uniform_grid,
 )
+from nhrlc import pseudofermion, report
+from nhrlc.errors import ExistenceViolation
 from nhrlc.report import TOLERANCES, rk_tolerance, route_agreement
+
+BP, UP, EP = (CircuitParams.from_rates(alpha, 1.0) for alpha in (0.5, 1.5, 1.0))
 
 
 class TestGates:
@@ -45,3 +49,80 @@ class TestGates:
             ("closed", "rk", rk_tolerance(1e-2)),
             ("spectral", "rk", rk_tolerance(1e-2)),
         ]
+
+    def test_every_registry_gate_is_reached_with_its_bound_read_at_call_time(self, monkeypatch):
+        for name in TOLERANCES:
+            monkeypatch.setitem(TOLERANCES, name, -1.0)
+        monkeypatch.setattr(report, "rk_tolerance", lambda step: -1.0)
+        violations = build_report(BP).violations + build_report(EP).violations
+        assert all(line.endswith(" exceeds -1.0e+00") for line in violations)
+        flagged = {line.split(" = ")[0] for line in violations}
+        assert flagged == set(TOLERANCES) | {"closed_vs_rk", "spectral_vs_rk", "expm_vs_rk"}
+
+
+def layout(section: dict) -> list:
+    """Ordered keys of a report section; a nested dict gives (key, its layout)."""
+    return [(k, layout(v)) if isinstance(v, dict) else k for k, v in section.items()]
+
+
+C = ["re", "im"]
+SECTIONS = ["schema", "input", "spectral", "metric", "pseudofermion", "equivalence", "dynamics"]
+INPUT = ["alpha", "omega0", "resistance", "inductance", "capacitance", "phase"]
+MODES = [
+    ("lambda_plus", C), ("lambda_minus", C), ("mu_plus", C), ("mu_minus", C),
+    ("normalization_products", [
+        ("phi_plus_psi_plus", C), ("phi_plus_psi_minus", C),
+        ("phi_minus_psi_plus", C), ("phi_minus_psi_minus", C),
+    ]),
+    "biorthogonality_residual",
+]
+EP_MODES = [("lambda_ep", C), ("mu_ep", C), "phi_ep", "psi_ep", "self_orthogonality_residual"]
+METRIC = [
+    "kind", "s_phi", "s_psi", "similar_hamiltonian", "inverse_residual", "mapping_residual",
+    ("intertwining", ["h_sphi", "spsi_h", "adjoint"]),
+]
+LADDER = [
+    ("a", C), ("b", C), ("gamma", C), ("omega", C), ("rho", C), "anticommutator_residual",
+    "c_squared_residual", "cc_squared_residual", "hamiltonian_residual", "pt_symmetric",
+]
+NO_LADDER = ["existence_violation", "pt_symmetric"]
+ROUTE_PAIRS = ["closed_vs_spectral", "closed_vs_rk", "spectral_vs_rk"]
+
+
+class TestLayout:
+    """analyze prints the report without sort_keys, so key order is output."""
+
+    def sections(self, params) -> dict:
+        rep = build_report(params).report
+        assert list(rep) == SECTIONS and rep["schema"] == 1
+        assert layout(rep["input"]) == INPUT
+        assert layout(rep["equivalence"]) == [("trace", C), ("det", C)]
+        return rep
+
+    @pytest.mark.parametrize(
+        "params, pairs", [(BP, ROUTE_PAIRS), (UP, ["spectral_vs_rk"])], ids=["BP", "UP"]
+    )
+    def test_ladder_point(self, params, pairs):
+        rep = self.sections(params)
+        assert layout(rep["spectral"]) == MODES
+        assert layout(rep["metric"]) == METRIC
+        assert layout(rep["pseudofermion"]) == LADDER
+        assert layout(rep["dynamics"]) == ["t_max", "dt", "rk_step", *pairs]
+
+    def test_exceptional_point(self):
+        rep = self.sections(EP)
+        assert layout(rep["spectral"]) == EP_MODES
+        assert rep["metric"] is None
+        assert layout(rep["pseudofermion"]) == NO_LADDER
+        assert layout(rep["dynamics"]) == ["t_max", "dt", "rk_step", "expm_vs_rk"]
+
+    def test_no_ladder_branch(self, monkeypatch):
+        def no_ladder(params, branch):
+            raise ExistenceViolation("no ladder")
+
+        monkeypatch.setattr(pseudofermion, "pf_identify", no_ladder)
+        rep = self.sections(BP)
+        assert layout(rep["metric"]) == METRIC
+        assert layout(rep["pseudofermion"]) == NO_LADDER
+        assert rep["pseudofermion"]["existence_violation"] is True
+        assert layout(rep["dynamics"]) == ["t_max", "dt", "rk_step", *ROUTE_PAIRS]
