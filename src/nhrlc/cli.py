@@ -184,14 +184,17 @@ def _parse_matrix(flat: list[float]) -> np.ndarray:
     return np.array([[vals[0], vals[1]], [vals[2], vals[3]]], dtype=complex)
 
 
-def _cmd_mequiv(args) -> int:
+def _cmd_mequiv(parser: _Parser, args) -> int:
     mat_a = _parse_matrix(args.matrix_a)
     mat_b = _parse_matrix(args.matrix_b)
-    verdict = {
-        "m_equivalent": mequiv.m_equivalent(mat_a, mat_b),
-        "similar": mequiv.is_similar(mat_a, mat_b),
-        "intertwiner_dim": len(solve_intertwiners(mat_a, mat_b)),
-    }
+    try:
+        verdict = {
+            "m_equivalent": mequiv.m_equivalent(mat_a, mat_b),
+            "similar": mequiv.is_similar(mat_a, mat_b),
+            "intertwiner_dim": len(solve_intertwiners(mat_a, mat_b)),
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
     json.dump(verdict, sys.stdout)
     sys.stdout.write("\n")
     return 0
@@ -222,7 +225,7 @@ def main(argv=None) -> int:
         return _cmd_sweep(parser, args)
     if args.command == "evolve":
         return _cmd_evolve(parser, args)
-    return _cmd_mequiv(args)
+    return _cmd_mequiv(parser, args)
 
 
 if __name__ == "__main__":

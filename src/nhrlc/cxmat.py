@@ -3,8 +3,8 @@
 Everything here is closed form: quadratic-formula eigenpairs, the matrix
 exponential through eigendecomposition (with a nilpotent split at a double
 eigenvalue), the unique positive square root of a positive Hermitian 2x2
-matrix, and Faddeev-LeVerrier characteristic polynomials. No iterative
-linear algebra is used at this size.
+matrix, and Faddeev-LeVerrier characteristic polynomials (which also give
+the 4x4 determinant). No iterative linear algebra is used at this size.
 """
 
 from __future__ import annotations
@@ -89,12 +89,9 @@ def eig2(m) -> Eig2:
         s = -s
     lam1 = (tr + s) / 2.0
     lam2 = (tr - s) / 2.0
+    # |lam1 - lam2| >= 1e-5 * sqrt(|tr|^2 + 1) off the band, so a != lam*I: no None
     v1 = _eigvec(a, lam1)
     v2 = _eigvec(a, lam2)
-    if v1 is None or v2 is None:  # scalar matrix cannot reach here, be safe
-        e1 = np.array([1.0, 0.0], dtype=complex)
-        e2 = np.array([0.0, 1.0], dtype=complex)
-        v1, v2 = e1, e2
     return Eig2((complex(lam1), complex(lam2)), (v1, v2), False)
 
 
@@ -177,32 +174,16 @@ def sqrt_pos_hermitian(m) -> np.ndarray:
 
 
 def trace_det(m) -> tuple[complex, complex]:
-    """(trace, determinant) of a 2x2 or 4x4 matrix, by direct expansion."""
+    """(trace, determinant) of a 2x2 or 4x4 matrix; the 4x4 determinant is
+    the constant coefficient of :func:`char_poly_coeffs`."""
     a = np.asarray(m, dtype=complex)
     if a.shape == (2, 2):
         a = as_cmat(a, 2)
         return complex(a[0, 0] + a[1, 1]), complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     if a.shape == (4, 4):
         a = as_cmat(a, 4)
-        return complex(np.trace(a)), _det4(a)
+        return complex(np.trace(a)), complex(char_poly_coeffs(a)[-1])
     raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {a.shape}")
-
-
-def _det3(a: np.ndarray) -> complex:
-    return complex(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def _det4(a: np.ndarray) -> complex:
-    cols = np.arange(4)
-    total = 0.0 + 0.0j
-    for j in range(4):
-        minor = a[1:, cols != j]
-        total += (-1.0) ** j * a[0, j] * _det3(minor)
-    return complex(total)
 
 
 def char_poly_coeffs(m) -> np.ndarray:

@@ -20,6 +20,7 @@ similarity transform of L produces the same quartic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +66,30 @@ def ode_coefficients_2(h) -> OdeCoefficients:
     return OdeCoefficients(order=2, coefficients=(1.0 + 0.0j, 1j * tr, -det))
 
 
-def m_equivalent(h_a, h_b) -> bool:
-    """Equal traces and determinants, relative to the entry magnitude."""
+def _compare(h_a, h_b):
+    """The one invariant comparison, for :func:`m_equivalent` and :func:`is_similar`.
+
+    The scale 1 + max|entry| is found from halved entries, so no modulus
+    overflows; it and both matrices are then divided by one power of two.
+    Both steps are exact on normal floats and keep every determinant and scale**2 finite.
+    """
     a = as_cmat(h_a, 2)
     b = as_cmat(h_b, 2)
+    half = 0.5 + max(float(np.abs(a / 2.0).max()), float(np.abs(b / 2.0).max()))
+    unit = math.ldexp(0.5, math.frexp(half)[1])
+    a, b, scale = a / unit, b / unit, half / unit * 2.0
     tr_a, det_a = trace_det(a)
     tr_b, det_b = trace_det(b)
-    scale = 1.0 + max(float(np.abs(a).max()), float(np.abs(b).max()))
-    return bool(
+    equal = bool(
         abs(tr_a - tr_b) < EQUIVALENCE_RTOL * scale
         and abs(det_a - det_b) < EQUIVALENCE_RTOL * scale ** 2
     )
+    return equal, scale, (a, tr_a, det_a), (b, tr_b, det_b)
+
+
+def m_equivalent(h_a, h_b) -> bool:
+    """Equal traces and determinants, relative to the entry magnitude."""
+    return _compare(h_a, h_b)[0]
 
 
 def is_similar(h_a, h_b) -> bool:
@@ -85,12 +99,8 @@ def is_similar(h_a, h_b) -> bool:
     spectrum is a double point, where both matrices must additionally be
     scalar or both non-scalar (degree of the minimal polynomial).
     """
-    a = as_cmat(h_a, 2)
-    b = as_cmat(h_b, 2)
-    tr_a, det_a = trace_det(a)
-    tr_b, det_b = trace_det(b)
-    scale = 1.0 + max(float(np.abs(a).max()), float(np.abs(b).max()))
-    if abs(tr_a - tr_b) > EQUIVALENCE_RTOL * scale or abs(det_a - det_b) > EQUIVALENCE_RTOL * scale ** 2:
+    equal, scale, (a, tr_a, det_a), (b, tr_b, _) = _compare(h_a, h_b)
+    if not equal:
         return False
 
     def _scalar(m, tr) -> bool:
@@ -148,8 +158,7 @@ def lemma_hypothesis(system: LiouvilleSystem) -> bool:
     S L S^-1 produce the same equation (see
     :func:`lemma_similarity_residual` for the numerical verification).
     """
-    c2 = system.alpha2 + system.beta2 + system.alpha1 * system.beta1
-    c1 = system.alpha1 * system.beta2 + system.alpha2 * system.beta1
+    c2, c1 = quartic_coefficients(system).coefficients[2:4]
     return bool(abs(c2) <= 1e-12 and abs(c1) <= 1e-12)
 
 

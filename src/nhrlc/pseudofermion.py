@@ -36,7 +36,7 @@ from .circuit import CircuitParams, Phase, classify
 from .cxmat import as_cmat, outer, sqrt_pos_hermitian
 from .errors import ExistenceViolation
 from .metric import MetricPair
-from .spectral import BiorthogonalSystem, eigensystem, pairing
+from .spectral import BiorthogonalSystem, eigensystem
 
 EXISTENCE_ATOL = 1e-10
 PT_ATOL = 1e-12
@@ -111,13 +111,10 @@ def _branch_parameters(system: BiorthogonalSystem, branch: str):
 def _ladder_basis(system: BiorthogonalSystem, rho: complex):
     """Relabel the eigensystem so phi_minus carries eigenvalue rho, and
     attach the dual (pairing-1) adjoint vectors."""
+    dual_p, dual_m = system.duals
     if abs(rho - system.lambda_minus) <= abs(rho - system.lambda_plus):
-        phi_m, phi_p = system.phi_minus, system.phi_plus
-    else:
-        phi_m, phi_p = system.phi_plus, system.phi_minus
-    dual_m = system.psi_plus if abs(pairing(phi_m, system.psi_plus)) > 0.5 else system.psi_minus
-    dual_p = system.psi_plus if abs(pairing(phi_p, system.psi_plus)) > 0.5 else system.psi_minus
-    return phi_m, phi_p, dual_m, dual_p
+        return system.phi_minus, system.phi_plus, dual_m, dual_p
+    return system.phi_plus, system.phi_minus, dual_p, dual_m
 
 
 def pf_identify(params: CircuitParams, branch: str = "plus") -> PseudoFermionPair:

@@ -58,6 +58,14 @@ class BiorthogonalSystem:
     n_mp: complex  # <phi-, psi+>
     n_mm: complex  # <phi-, psi->
 
+    @property
+    def duals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dual of phi+, dual of phi-): the psi pairing to 1 with each phi,
+        the same index in the broken phase and the crossed one otherwise."""
+        if self.phase is Phase.BROKEN:
+            return self.psi_plus, self.psi_minus
+        return self.psi_minus, self.psi_plus
+
 
 @dataclass(frozen=True)
 class EpSystem:
@@ -173,6 +181,5 @@ def expand(system: BiorthogonalSystem, f) -> tuple[complex, complex]:
     crossed pairings resolve the identity, so b_pm = <psi_mp, f>.
     """
     vec = as_cvec2(f)
-    if system.phase is Phase.BROKEN:
-        return pairing(system.psi_plus, vec), pairing(system.psi_minus, vec)
-    return pairing(system.psi_minus, vec), pairing(system.psi_plus, vec)
+    dual_p, dual_m = system.duals
+    return pairing(dual_p, vec), pairing(dual_m, vec)

@@ -403,6 +403,21 @@ class TestMequiv:
         assert code == 0
         assert json.loads(out)["m_equivalent"] is True
 
+    def test_huge_entries_get_a_verdict(self, capsys):
+        big = 1e200 * np.eye(2)
+        verdict = self.run(capsys, big, big)
+        assert verdict == {"m_equivalent": True, "similar": True, "intertwiner_dim": 4}
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_exit_2_with_one_line(self, capsys, entry):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mequiv", "--matrix-a", entry, "0", "0", "0", "0", "0", "1", "0",
+                  "--matrix-b", "1", "0", "0", "0", "0", "0", "1", "0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nhrlc: error: matrix entries must be finite\n"
+
     def test_wrong_arity_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["mequiv", "--matrix-a", "1", "0", "--matrix-b", "1", "0"])

@@ -105,6 +105,38 @@ class TestIsSimilar:
             assert is_similar(m, conjugated)
             assert m_equivalent(m, conjugated)
 
+    def test_trace_gap_at_the_bound_is_neither(self):
+        # scale 2, so the bound on the trace gap is 2e-12; similar implies m-equivalent
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        shifted = np.array([[2e-12, 1.0], [0.0, 0.0]])
+        assert not m_equivalent(nilpotent, shifted)
+        assert not is_similar(nilpotent, shifted)
+
+
+class TestInvariantScale:
+    """Verdicts for entries whose squares overflow a float."""
+
+    @pytest.mark.parametrize("size", [1e200, 1e308])
+    def test_huge_scalar_pair(self, size):
+        assert m_equivalent(size * IDENTITY, size * IDENTITY)
+        assert is_similar(size * IDENTITY, size * IDENTITY)
+
+    def test_huge_jordan_block_against_scalar(self):
+        assert m_equivalent(1e200 * SHEAR, 1e200 * IDENTITY)
+        assert not is_similar(1e200 * SHEAR, 1e200 * IDENTITY)
+
+    def test_entry_modulus_beyond_the_largest_float(self):
+        z = 1.5e308 + 1.5e308j  # |z| overflows, its components do not
+        diagonal = np.diag([z, z])
+        jordan = diagonal + np.array([[0.0, 1e308], [0.0, 0.0]])
+        assert m_equivalent(jordan, diagonal)
+        assert not is_similar(jordan, diagonal)
+        assert not m_equivalent(diagonal, IDENTITY)
+
+    def test_huge_different_traces(self):
+        assert not m_equivalent(1e300 * IDENTITY, -1e300 * IDENTITY)
+        assert not is_similar(1e300 * IDENTITY, -1e300 * IDENTITY)
+
 
 class TestIntertwinerVersusInvariants:
     @pytest.mark.parametrize("beta", [-1.0, 0.0, 5.0])
