@@ -28,7 +28,6 @@ import numpy as np
 
 from . import dynamics, mequiv
 from .circuit import CircuitParams, Phase, classify, phase_of
-from .errors import PhaseUnsupported
 from .metric import solve_intertwiners
 from .report import build_report, exceeds, route_agreement
 from .spectral import modes
@@ -159,7 +158,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         del routes["closed"]  # closed form only exists in the broken phase
     try:
         trajectories = {name: route(params, init, grid) for name, route in routes.items()}
-    except PhaseUnsupported as exc:
+    except ValueError as exc:  # a route refusing this phase or point
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2
 

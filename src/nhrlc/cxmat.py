@@ -9,6 +9,7 @@ the 4x4 determinant). No iterative linear algebra is used at this size.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +44,18 @@ def as_cvec2(v) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValueError("vector entries must be finite")
     return out
+
+
+def rescale(*mats) -> tuple[list[np.ndarray], float]:
+    """The matrices divided by one power of two, and 1 + max|entry| in its units.
+
+    The scale 1 + max|entry| is found from halved entries, so no modulus
+    overflows. Both steps are exact on normal floats; the scaled entries
+    are below 4 in modulus, so their products and determinants stay finite.
+    """
+    half = 0.5 + max(float(np.abs(m / 2.0).max()) for m in mats)
+    unit = math.ldexp(0.5, math.frexp(half)[1])
+    return [m / unit for m in mats], half / unit * 2.0
 
 
 def outer(f, g) -> np.ndarray:
@@ -115,22 +128,6 @@ def inv2(m) -> np.ndarray:
     if det == 0:
         raise ValueError("matrix is singular")
     return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
-
-
-def mul2(a, b) -> np.ndarray:
-    """Stacked 2x2 products a @ b with the entries on the leading axes.
-
-    Both operands have shape ``(2, 2) + stack`` (broadcastable stacks). Each
-    entry of the product is one vector expression over the stack; at 2x2
-    this is several times faster than numpy's stacked ``@`` or ``einsum``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = a[i, 0] * b[0, j] + a[i, 1] * b[1, j]
-    return out
 
 
 def expm(m, t=1.0) -> np.ndarray:

@@ -14,9 +14,9 @@
   an interval of length L with m substeps has the propagator of the
   generator H*(L/L0) over a length L0 with the same m: all lengths that
   share a substep count are stepped together, as one stack of generators,
-  in one integrate_rk4 call. The states are then the inclusive prefix
-  products M_k...M_1 of the interval propagators applied to Phi(0),
-  scanned in fixed-size blocks with the last state carried across.
+  in one integrate_rk4 call. The states then follow the recurrence
+  Phi_k = M_k Phi_{k-1} through the interval propagators, in Python
+  complex arithmetic.
 
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CircuitParams, Phase, classify, hamiltonian
-from .cxmat import expm, mul2
+from .cxmat import expm
 from .errors import ExceptionalPointError, GridMismatch, PhaseUnsupported
 from .spectral import eigensystem, expand
 
@@ -159,8 +159,8 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     return out
 
 
-# Intervals per block of the prefix-product scan, and rows per block of the
-# CSV writers: bounds their working memory on long grids.
+# Rows per block of the RK recurrence and of the CSV writers: bounds their
+# working memory on long grids.
 SCAN_BLOCK = 1024
 
 
@@ -173,12 +173,9 @@ def evolve_integrated(
     when it starts later). The distinct interval lengths are grouped by
     their substep count m = max(1, ceil(L/step - 1e-12)); each group's
     propagators come from one :func:`integrate_rk4` call over [0, L0], L0
-    the group's first length, on the generator stack H*(L/L0). The lengths
-    are grouped with a dict, not np.unique: a grid has few distinct lengths,
-    and np.unique's sort of every span raised a fresh process's peak memory
-    by about 0.4 MB on a 10001-point grid, more than the dict and the scan.
-    Each block of intervals is an inclusive Hillis-Steele prefix product of
-    its propagators, applied to the state carried in from the last block.
+    the group's first length, on the generator stack H*(L/L0). Each
+    interval then applies its length's propagator to the last state, and
+    the states are stored SCAN_BLOCK rows at a time.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -194,29 +191,30 @@ def evolve_integrated(
     for length in lengths:
         groups.setdefault(max(1, math.ceil(length / step - 1e-12)), []).append(length)
     h = hamiltonian(params)
-    # past RK4's stability limit the states overflow; the gates fail the inf/NaN
+    props = {}  # span length -> its propagator's row-major entries
+    # a huge generator overflows its propagators; the gates fail the inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        props = np.concatenate([
-            np.empty((0, 2, 2)),  # no interval on a grid of fewer than 2 points
-            *(integrate_rk4(
+        for group in groups.values():
+            stack = integrate_rk4(
                 h * (np.array(group) / group[0])[:, None, None],
                 np.broadcast_to(np.eye(2), (len(group), 2, 2)),
                 [0.0, group[0]],
                 step,
-            )[1] for group in groups.values()),
-        ]).transpose(1, 2, 0)  # entries first, as mul2 takes them
-        which = np.searchsorted(lengths, spans)  # each span's row in props
-        out = np.empty((full.size, 2), dtype=complex)
-        if full.size:
-            out[0] = initial_state(init, params)
-        for lo in range(0, spans.size, SCAN_BLOCK):
-            prod = props[:, :, which[lo:lo + SCAN_BLOCK]]
-            shift = 1
-            while shift < prod.shape[2]:
-                prod[:, :, shift:] = mul2(prod[:, :, shift:], prod[:, :, :-shift])
-                shift *= 2
-            x, y = out[lo]
-            out[lo + 1:lo + 1 + prod.shape[2]] = (prod[:, 0] * x + prod[:, 1] * y).T
+            )[1]
+            props.update(zip(group, stack.reshape(-1, 4).tolist()))
+    x, y = initial_state(init, params).tolist()
+    out = np.empty((full.size, 2), dtype=complex)
+    if full.size:
+        out[0] = x, y
+    for lo in range(0, spans.size, SCAN_BLOCK):
+        xs, ys = [], []
+        for span in spans[lo:lo + SCAN_BLOCK].tolist():
+            p00, p01, p10, p11 = props[span]
+            x, y = p00 * x + p01 * y, p10 * x + p11 * y
+            xs.append(x)
+            ys.append(y)
+        out[lo + 1:lo + 1 + len(xs), 0] = xs
+        out[lo + 1:lo + 1 + len(xs), 1] = ys
     states = out[full.size - ts.size:]
     return Trajectory(times=ts, states=states, method="integrated")
 

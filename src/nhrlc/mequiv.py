@@ -20,12 +20,11 @@ similarity transform of L produces the same quartic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import as_cmat, char_poly_coeffs, trace_det
+from .cxmat import as_cmat, char_poly_coeffs, rescale, trace_det
 
 EQUIVALENCE_RTOL = 1e-12
 
@@ -69,15 +68,10 @@ def ode_coefficients_2(h) -> OdeCoefficients:
 def _compare(h_a, h_b):
     """The one invariant comparison, for :func:`m_equivalent` and :func:`is_similar`.
 
-    The scale 1 + max|entry| is found from halved entries, so no modulus
-    overflows; it and both matrices are then divided by one power of two.
-    Both steps are exact on normal floats and keep every determinant and scale**2 finite.
+    Both matrices are first brought to a common power-of-two scale by
+    :func:`~nhrlc.cxmat.rescale`, so every determinant and scale**2 is finite.
     """
-    a = as_cmat(h_a, 2)
-    b = as_cmat(h_b, 2)
-    half = 0.5 + max(float(np.abs(a / 2.0).max()), float(np.abs(b / 2.0).max()))
-    unit = math.ldexp(0.5, math.frexp(half)[1])
-    a, b, scale = a / unit, b / unit, half / unit * 2.0
+    (a, b), scale = rescale(as_cmat(h_a, 2), as_cmat(h_b, 2))
     tr_a, det_a = trace_det(a)
     tr_b, det_b = trace_det(b)
     equal = bool(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Phase
-from .cxmat import as_cmat, as_cvec2, operator_norm, outer
+from .cxmat import as_cmat, as_cvec2, operator_norm, outer, rescale
 from .errors import ExceptionalPointError
 from .spectral import BiorthogonalSystem, pairing
 
@@ -137,10 +137,10 @@ def solve_intertwiners(a, b) -> list[np.ndarray]:
     kron(A, I) - kron(I, B^T); its nullspace is read off an SVD, counting
     singular values below ``NULLSPACE_RTOL`` times the largest as zero. The
     reversed relation X A = B X is the same problem with swapped arguments:
-    ``solve_intertwiners(B, A)``.
+    ``solve_intertwiners(B, A)``. Both matrices are first divided by one
+    power of two (:func:`~nhrlc.cxmat.rescale`), so the SVD does not overflow.
     """
-    amat = as_cmat(a, 2)
-    bmat = as_cmat(b, 2)
+    (amat, bmat), _ = rescale(as_cmat(a, 2), as_cmat(b, 2))
     eye = np.eye(2, dtype=complex)
     sylvester = np.kron(amat, eye) - np.kron(eye, bmat.T)
     _, svals, vh = np.linalg.svd(sylvester)

@@ -79,11 +79,12 @@ def pf_construct(a, b, a12, b12, omega=0.0, rho=0.0) -> PseudoFermionPair:
     """Build the ladder pair from raw parameters, enforcing existence.
 
     Raises :class:`ExistenceViolation` unless (a - b) * gamma = 1 within
-    ``EXISTENCE_ATOL``; a = b (the exceptional configuration) always fails.
+    ``EXISTENCE_ATOL``; a = b (the exceptional configuration) and any NaN
+    or infinite parameter always fail.
     """
     a, b, a12, b12 = complex(a), complex(b), complex(a12), complex(b12)
     gamma = a12 * b12 * (b - a)
-    if abs((a - b) * gamma - 1.0) > EXISTENCE_ATOL:
+    if not abs((a - b) * gamma - 1.0) <= EXISTENCE_ATOL:
         raise ExistenceViolation(
             f"(a - b) * gamma = {(a - b) * gamma:.6g}, ladder pair requires 1"
         )

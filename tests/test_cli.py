@@ -334,6 +334,16 @@ class TestEvolve:
         assert not caught and "RuntimeWarning" not in err
         assert "spectral vs rk: max error nan at t=744 " in err
 
+    def test_refused_route_exit_2_with_one_line(self, capsys):
+        # alpha <= -omega0 lies outside the phase taxonomy: eigensystem refuses it
+        code, out, err = run_cli(
+            capsys, "evolve", "--alpha", "-2", "--omega0", "1", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "spectral",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("nhrlc evolve: error: ") and err.count("\n") == 1
+
     def test_bad_grid_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE[:-1] + ["-0.5"])
@@ -407,6 +417,14 @@ class TestMequiv:
         big = 1e200 * np.eye(2)
         verdict = self.run(capsys, big, big)
         assert verdict == {"m_equivalent": True, "similar": True, "intertwiner_dim": 4}
+
+    def test_entries_near_overflow_keep_the_intertwiners(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "mequiv", "--matrix-a", "1.5e308", "1.5e308", "0", "0", "0", "0", "1", "0",
+            "--matrix-b", "1.5e308", "1.5e308", "0", "0", "0", "0", "1", "0",
+        )
+        assert code == 0
+        assert json.loads(out) == {"m_equivalent": True, "similar": True, "intertwiner_dim": 2}
 
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_exit_2_with_one_line(self, capsys, entry):

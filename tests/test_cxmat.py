@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhrlc import char_poly_coeffs, eig2, expm, operator_norm, sqrt_pos_hermitian, trace_det
-from nhrlc.cxmat import mul2
+from nhrlc.cxmat import rescale
 from nhrlc.errors import NotPositiveHermitian
 
 from helpers import rk4_states
@@ -232,18 +232,16 @@ def test_operator_norm_against_svd():
         assert abs(operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) < 1e-12
 
 
-class TestMul2:
-    def test_matches_stacked_matmul(self):
-        rng = np.random.default_rng(70)
-        a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
-        b = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
-        got = mul2(a.transpose(1, 2, 0), b.transpose(1, 2, 0)).transpose(2, 0, 1)
-        np.testing.assert_allclose(got, a @ b, rtol=1e-14, atol=1e-14)
+class TestRescale:
+    def test_divides_by_one_power_of_two(self):
+        (a,), scale = rescale(np.array([[3.0, 0.0], [0.0, -1.0]]))
+        np.testing.assert_array_equal(a, [[1.5, 0.0], [0.0, -0.5]])
+        assert scale == 2.0  # (1 + 3) / 2
 
-    def test_broadcasts_one_factor_over_the_stack(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None] * np.arange(1.0, 4.0)
-        b = np.array([[0.0, 1j], [1.0, 0.0]])[:, :, None]
-        got = mul2(a, b)
-        assert got.shape == (2, 2, 3) and got.dtype == complex
-        for k in range(3):
-            np.testing.assert_array_equal(got[:, :, k], a[:, :, k] @ b[:, :, 0])
+    def test_huge_entries_stay_exact_and_finite(self):
+        big = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+        (a, b), scale = rescale(big, np.eye(2))
+        unit = 2.0 ** 1023
+        np.testing.assert_array_equal(a * unit, big)
+        np.testing.assert_array_equal(b * unit, np.eye(2))
+        assert np.abs(a).max() < 4.0 and np.isfinite(scale ** 2)

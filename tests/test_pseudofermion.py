@@ -54,6 +54,12 @@ class TestConstruct:
         with pytest.raises(ExistenceViolation):
             pf_construct(1.0, 0.0, 1.0, 1.0)  # (a-b)*gamma = -1
 
+    def test_non_finite_parameters_violate_existence(self):
+        for bad in (np.nan, np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)):
+            for args in ((bad, 0.0, 1.0, 1.0), (1.0, bad, 1.0, 1.0), (1.0, 0.0, bad, -1.0)):
+                with pytest.raises(ExistenceViolation):
+                    pf_construct(*args)
+
     def test_symmetric_imaginary_point(self):
         # a = i, b = -i, gamma = -i/2 via a12 = b12 = 1/2; the resulting
         # generator has omega = -2, rho = 1 and a real spectrum
