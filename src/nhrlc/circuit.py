@@ -30,6 +30,8 @@ from .cxmat import as_cmat
 # as critically damped.
 EP_BAND_RTOL = 1e-12
 
+MAX_OMEGA0 = float(np.sqrt(np.finfo(float).max))  # omega0^2 is in H: keep it finite
+
 
 class Phase(enum.Enum):
     """Dynamical phase of the circuit generator."""
@@ -60,6 +62,8 @@ class CircuitParams:
             raise ValueError("alpha and omega0 must be finite")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
+        if self.omega0 > MAX_OMEGA0:
+            raise ValueError(f"omega0 must be at most {MAX_OMEGA0:.4g}, where omega0^2 overflows")
 
     @classmethod
     def from_rlc(cls, resistance: float, inductance: float, capacitance: float) -> "CircuitParams":

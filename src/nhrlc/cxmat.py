@@ -1,10 +1,10 @@
 """Dense complex matrix kernel for 2x2 (and 4x4 trace/determinant) work.
 
 Everything here is closed form: quadratic-formula eigenpairs, the matrix
-exponential through eigendecomposition (with a nilpotent split at a double
-eigenvalue), the unique positive square root of a positive Hermitian 2x2
-matrix, and Faddeev-LeVerrier characteristic polynomials (which also give
-the 4x4 determinant). No iterative linear algebra is used at this size.
+exponential from the eigenvalues alone (Sylvester's formula, no inverse; a
+nilpotent split at a double eigenvalue), the unique positive square root of a
+positive Hermitian 2x2 matrix, and Faddeev-LeVerrier characteristic polynomials
+(which also give the 4x4 determinant). No iterative linear algebra is used.
 """
 
 from __future__ import annotations
@@ -121,31 +121,21 @@ def _eigvec(a: np.ndarray, lam: complex) -> np.ndarray | None:
     return v / np.linalg.norm(v)
 
 
-def inv2(m) -> np.ndarray:
-    """Closed-form inverse of a 2x2 matrix."""
-    a = as_cmat(m, 2)
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    if det == 0:
-        raise ValueError("matrix is singular")
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=complex) / det
-
-
 def expm(m, t=1.0) -> np.ndarray:
     """exp(t*M) for a 2x2 matrix; an array of times gives the stack exp(t_k*M).
 
-    Uses V exp(t diag) V^-1 off the degenerate band; on it, the exact
+    Off the degenerate band, Sylvester's formula on the two eigenvalues,
+    (e^{t*l1} (M - l2*I) - e^{t*l2} (M - l1*I)) / (l1 - l2); on it, the exact
     nilpotent split exp(t*M) = e^{t*lam} (I + t*N) with N = M - lam*I. The
     result has shape ``np.shape(t) + (2, 2)``, from one eigendecomposition.
     """
     a = as_cmat(m, 2)
-    values, vectors, degenerate = eig2(a)
+    (lam1, lam2), _, degenerate = eig2(a)
     ts = np.asarray(t)[..., None, None]
-    if degenerate:
-        lam = values[0]
-        nil = a - lam * np.eye(2)
-        return np.exp(ts * lam) * (np.eye(2, dtype=complex) + ts * nil)
-    vmat = np.column_stack(vectors)
-    return (vmat * np.exp(ts * np.array(values))) @ inv2(vmat)
+    shift1, shift2 = a - lam1 * np.eye(2), a - lam2 * np.eye(2)
+    if degenerate:  # shift1 is N
+        return np.exp(ts * lam1) * (np.eye(2, dtype=complex) + ts * shift1)
+    return (np.exp(ts * lam1) * shift2 - np.exp(ts * lam2) * shift1) / (lam1 - lam2)
 
 
 def sqrt_pos_hermitian(m) -> np.ndarray:

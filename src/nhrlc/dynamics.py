@@ -87,19 +87,20 @@ def evolve_closed_form(params: CircuitParams, init: InitialData, times) -> Traje
     if classify(params) is not Phase.BROKEN:
         raise PhaseUnsupported("closed-form evolution covers the broken phase only")
     alpha, w0 = params.alpha, params.omega0
-    wd_sq = w0 ** 2 - alpha ** 2
+    wd_sq = w0 ** 2 - alpha ** 2 if abs(alpha) < w0 else 0.0  # alpha ** 2 may overflow
     if wd_sq <= 0:
         raise PhaseUnsupported("closed-form evolution needs omega0^2 > alpha^2")
     wd = np.sqrt(wd_sq)
     ts = np.asarray(times, dtype=float)
     amp_cos = init.i0
     amp_sin = -init.v0 / (init.inductance * wd)
-    decay = np.exp(-alpha * ts)
-    x1 = decay * (amp_cos * np.cos(wd * ts) + amp_sin * np.sin(wd * ts))
-    x2 = decay * (
-        (-alpha * amp_cos + wd * amp_sin) * np.cos(wd * ts)
-        + (-alpha * amp_sin - wd * amp_cos) * np.sin(wd * ts)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain overflow fails the gates
+        decay = np.exp(-alpha * ts)
+        x1 = decay * (amp_cos * np.cos(wd * ts) + amp_sin * np.sin(wd * ts))
+        x2 = decay * (
+            (-alpha * amp_cos + wd * amp_sin) * np.cos(wd * ts)
+            + (-alpha * amp_sin - wd * amp_cos) * np.sin(wd * ts)
+        )
     states = np.column_stack([x1, x2]).astype(complex)
     return Trajectory(times=ts, states=states, method="closed-form")
 
@@ -119,9 +120,10 @@ def evolve_spectral(params: CircuitParams, init: InitialData, times) -> Trajecto
         states = expm(-1j * hamiltonian(params), ts) @ state0
         return Trajectory(times=ts, states=states, method="expm")
     b_plus, b_minus = expand(system, state0)
-    phases_p = np.exp(-1j * system.lambda_plus * ts)[:, None]
-    phases_m = np.exp(-1j * system.lambda_minus * ts)[:, None]
-    states = b_plus * phases_p * system.phi_plus + b_minus * phases_m * system.phi_minus
+    with np.errstate(over="ignore", invalid="ignore"):  # a gain overflow fails the gates
+        phases_p = np.exp(-1j * system.lambda_plus * ts)[:, None]
+        phases_m = np.exp(-1j * system.lambda_minus * ts)[:, None]
+        states = b_plus * phases_p * system.phi_plus + b_minus * phases_m * system.phi_minus
     return Trajectory(times=ts, states=states, method="spectral")
 
 

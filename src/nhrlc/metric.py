@@ -26,7 +26,6 @@ import numpy as np
 
 from .circuit import Phase
 from .cxmat import as_cmat, as_cvec2, operator_norm, outer, rescale
-from .errors import ExceptionalPointError
 from .spectral import BiorthogonalSystem, pairing
 
 # Singular values below this fraction of the largest count as zero when
@@ -54,8 +53,6 @@ class IntertwinerReport:
 
 def metric_pair(system: BiorthogonalSystem) -> MetricPair:
     """Phase-adapted mapping pair: S-kind in the broken phase, T-kind in the unbroken."""
-    if system.phase is Phase.EXCEPTIONAL:
-        raise ExceptionalPointError("no mapping pair exists at the exceptional point")
     if system.phase is Phase.BROKEN:
         return positive_pair(system)
     t_phi = outer(system.phi_minus, system.phi_plus) + outer(system.phi_plus, system.phi_minus)
@@ -70,23 +67,20 @@ def positive_pair(system: BiorthogonalSystem) -> MetricPair:
     they map with a label swap, psi_pm -> phi_mp, which is what the
     fermionization square roots need.
     """
-    if system.phase is Phase.EXCEPTIONAL:
-        raise ExceptionalPointError("no mapping pair exists at the exceptional point")
     s_phi = outer(system.phi_plus, system.phi_plus) + outer(system.phi_minus, system.phi_minus)
     s_psi = outer(system.psi_plus, system.psi_plus) + outer(system.psi_minus, system.psi_minus)
     return MetricPair(s_phi=s_phi, s_psi=s_psi, kind="S")
 
 
 def similar_hamiltonian(system: BiorthogonalSystem, pair: MetricPair, h) -> np.ndarray:
-    """h = S_psi H S_phi (T_psi H T_phi in the unbroken phase).
+    """h = S_psi H S_phi (T_psi H T_phi in the unbroken phase), in closed form.
 
-    The result is isospectral to H with the psi vectors as eigenvectors,
-    h psi_a = lambda_a psi_a; its adjoint has the phi vectors as
-    eigenvectors with the mu eigenvalues.
+    h psi_a = lambda_a psi_a and h^dag phi_a = mu_a phi_a. As mu_pm = -lambda_mp,
+    H^dag + tr(H) I has exactly these eigenpairs in both phases, so it is h;
+    ``system`` and ``pair`` do not enter the result.
     """
-    if system.phase is Phase.EXCEPTIONAL:
-        raise ExceptionalPointError("no similarity transform exists at the exceptional point")
-    return pair.s_psi @ as_cmat(h, 2) @ pair.s_phi
+    a = as_cmat(h, 2)
+    return a.conj().T + np.trace(a) * np.eye(2)
 
 
 def antilinear_u(system: BiorthogonalSystem, f) -> np.ndarray:

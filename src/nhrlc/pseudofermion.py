@@ -192,20 +192,15 @@ def fermionize(pf: PseudoFermionPair, pair: MetricPair) -> FermionizedSystem:
 
     so {A, A^dag} = 1, A^2 = 0, the e_pm are orthonormal, and
     H = S_phi^(1/2) H_fho S_psi^(1/2) with H_fho = omega * A^dag A + rho * 1.
+    A pair without the ladder basis of :func:`pf_identify` raises ``ValueError``.
     """
+    if pf.phi_minus is None or pf.phi_plus is None:
+        raise ValueError("fermionize needs the ladder basis of a pf_identify pair")
     root_psi = sqrt_pos_hermitian(pair.s_psi)
     root_phi = sqrt_pos_hermitian(pair.s_phi)
     a_op = root_psi @ pf.c_op @ root_phi
-    if pf.phi_minus is not None and pf.phi_plus is not None:
-        e_minus = root_psi @ pf.phi_minus
-        e_plus = root_psi @ pf.phi_plus
-    else:
-        phi_m = np.array([1.0, -pf.a], dtype=complex)
-        phi_p = pf.cc_op @ phi_m
-        e_minus = root_psi @ phi_m
-        e_plus = root_psi @ phi_p
-        e_minus = e_minus / np.linalg.norm(e_minus)
-        e_plus = e_plus / np.linalg.norm(e_plus)
+    e_minus = root_psi @ pf.phi_minus
+    e_plus = root_psi @ pf.phi_plus
     h_fho = pf.omega * (a_op.conj().T @ a_op) + pf.rho * np.eye(2, dtype=complex)
     return FermionizedSystem(
         a_op=a_op, e_plus=e_plus, e_minus=e_minus,

@@ -11,6 +11,7 @@ from nhrlc import (
     ode_coefficients_2,
     phase_of,
 )
+from nhrlc.circuit import MAX_OMEGA0
 
 from helpers import deriv5, rk4_states
 
@@ -38,6 +39,14 @@ class TestCircuitParams:
             CircuitParams.from_rates(1.0, -1.0)
         with pytest.raises(ValueError):
             CircuitParams.from_rates(np.inf, 1.0)
+
+    def test_rejects_omega0_whose_square_overflows(self):
+        with pytest.raises(ValueError, match="omega0 must be at most"):
+            CircuitParams.from_rates(1.0, 1e200)
+        with pytest.raises(ValueError, match="omega0 must be at most"):
+            CircuitParams.from_rlc(1.0, 1e-160, 1e-160)
+        edge = CircuitParams.from_rates(1.0, MAX_OMEGA0)
+        assert np.all(np.isfinite(hamiltonian(edge)))
 
 
 class TestHamiltonian:

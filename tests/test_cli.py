@@ -88,6 +88,19 @@ class TestAnalyze:
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params",
+        [("--alpha", "1", "--omega0", "1e200"), ("--R", "1", "--L", "1e-160", "--C", "1e-160")],
+    )
+    def test_omega0_whose_square_overflows_exit_2_with_one_line(self, capsys, params):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", *params])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nhrlc: error: omega0 must be at most 1.341e+154")
+        assert captured.err.count("\n") == 1
+
 
 class TestSweep:
     @staticmethod
@@ -151,6 +164,23 @@ class TestSweep:
         for r in rows:
             assert abs(float(r["re_lambda_plus"])) < 1e-12
             assert abs(float(r["re_lambda_minus"])) < 1e-12
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--steps", "1", "--steps must be at least 2"),
+            ("--omega0", "0", "--omega0 must be positive"),
+        ],
+    )
+    def test_bad_grid_exit_2_with_one_line(self, capsys, flag, value, message):
+        argv = {"--omega0": "1", "--alpha-min": "0", "--alpha-max": "2", "--steps": "5"}
+        argv[flag] = value
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", *(token for pair in argv.items() for token in pair)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nhrlc: error: {message}\n"
 
     def test_bad_range_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -348,6 +378,25 @@ class TestEvolve:
         with pytest.raises(SystemExit) as excinfo:
             main(self.BASE[:-1] + ["-0.5"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("alpha", ["-2", "-1e200"])
+    def test_closed_method_for_gain_beyond_omega0_exit_2_with_one_line(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys, "evolve", "--alpha", alpha, "--omega0", "1", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "closed",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "nhrlc evolve: error: closed-form evolution needs omega0^2 > alpha^2\n"
+
+    def test_omega0_whose_square_overflows_exit_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["evolve", "--alpha", "1", "--omega0", "1e200", *self.BASE[5:]])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("nhrlc: error: omega0 must be at most 1.341e+154")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "t_max, dt",

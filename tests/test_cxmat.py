@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhrlc import char_poly_coeffs, eig2, expm, operator_norm, sqrt_pos_hermitian, trace_det
-from nhrlc.cxmat import rescale
+from nhrlc.cxmat import as_cmat, as_cvec2, rescale
 from nhrlc.errors import NotPositiveHermitian
 
 from helpers import rk4_states
@@ -18,6 +18,21 @@ def cmat2(entries):
     re = np.array(entries[:4]).reshape(2, 2)
     im = np.array(entries[4:]).reshape(2, 2)
     return re + 1j * im
+
+
+class TestValidation:
+    def test_as_cmat_rejects_a_wrong_shape(self):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            as_cmat(np.eye(3), 2)
+
+    @pytest.mark.parametrize("vec", [[1.0, 0.0, 0.0], [[1.0], [0.0], [2.0]]])
+    def test_as_cvec2_rejects_a_wrong_shape(self, vec):
+        with pytest.raises(ValueError, match="expected a 2-vector"):
+            as_cvec2(vec)
+
+    def test_as_cvec2_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            as_cvec2([1.0, np.nan])
 
 
 class TestEig2:

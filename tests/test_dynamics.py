@@ -47,6 +47,10 @@ class TestInitialState:
         with pytest.raises(ValueError):
             InitialData(i0=1.0, v0=0.0, inductance=0.0)
 
+    def test_rejects_nan_current(self):
+        with pytest.raises(ValueError, match="initial data must be finite"):
+            InitialData(i0=np.nan, v0=0.0, inductance=1.0)
+
 
 class TestUniformGrid:
     def test_inclusive_endpoints(self):
@@ -108,6 +112,12 @@ class TestClosedForm:
     def test_outside_broken_phase_rejected(self, params):
         with pytest.raises(PhaseUnsupported):
             evolve_closed_form(params, REST, uniform_grid(1.0, 0.1))
+
+    @pytest.mark.parametrize("alpha", [-2.0, -1e200])
+    def test_gain_beyond_omega0_rejected_before_squaring(self, alpha):
+        # phase_of labels alpha < -omega0 BP; alpha ** 2 would overflow at -1e200
+        with pytest.raises(PhaseUnsupported, match="needs omega0"):
+            evolve_closed_form(CircuitParams.from_rates(alpha, 1.0), REST, uniform_grid(1.0, 0.1))
 
 
 class TestSpectral:
@@ -254,6 +264,11 @@ class TestIntegrated:
         args = {"times": uniform_grid(1.0, 0.1), "step": 1e-3} | kwargs
         with pytest.raises(ValueError):
             evolve_integrated(BP_REF, REST, args["times"], step=args["step"])
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 1.0, 0.5]])
+    def test_rk4_rejects_a_grid_that_is_not_increasing(self, times):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], times, 1e-3)
 
     @pytest.mark.parametrize("step", [float("nan"), 0.0, -1e-3])
     def test_rk4_rejects_a_step_that_is_not_positive(self, step):

@@ -114,6 +114,23 @@ class TestSimilarHamiltonian:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("alpha, omega0", [(1 / SQ2, 1.0), (5 / 4, 3 / 4), (-0.4, 1.0)])
+    def test_closed_form_is_adjoint_plus_trace(self, alpha, omega0):
+        # mu_pm = -lambda_mp, so H^dag + tr(H) I has the eigenpairs (lambda_a, psi_a)
+        params = CircuitParams.from_rates(alpha, omega0)
+        sys_ = eigensystem(params)
+        h0 = hamiltonian(params)
+        h = similar_hamiltonian(sys_, metric_pair(sys_), h0)
+        np.testing.assert_array_equal(h, h0.conj().T + np.trace(h0) * np.eye(2))
+
+    def test_intertwining_exact_near_the_exceptional_point(self):
+        params = CircuitParams.from_rates(0.999, 1.0)
+        sys_ = eigensystem(params)
+        pair = metric_pair(sys_)
+        h0 = hamiltonian(params)
+        report = verify_intertwining(h0, similar_hamiltonian(sys_, pair, h0), pair)
+        assert max(report.residual_h_sphi, report.residual_spsi_h, report.residual_adjoint) < 1e-12
+
 
 class TestAntilinearU:
     def test_fixes_psi_in_broken_phase(self):

@@ -253,6 +253,11 @@ class TestFermionize:
         assert abs(np.vdot(fz.e_minus, fz.e_plus)) < 1e-12
         assert abs(np.linalg.norm(fz.e_plus) - 1) < 1e-12
 
+    def test_rejects_a_pair_without_ladder_basis(self):
+        pf = pf_construct(9 / 4, 1 / 4, 1.0, -0.25)
+        with pytest.raises(ValueError, match="ladder basis"):
+            fermionize(pf, metric_pair(eigensystem(BP_REF)))
+
     def test_rejects_indefinite_pair(self):
         sys_ = eigensystem(UP_REF)
         with pytest.raises(NotPositiveHermitian):

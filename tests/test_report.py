@@ -37,6 +37,13 @@ class TestGates:
         with pytest.raises(ValueError):
             build_report(CircuitParams.from_rates(0.5, 1.0), **kwargs)
 
+    def test_overflowing_gain_trajectory_is_warning_free(self):
+        # e^{99.8 t} overflows on [0, 10]: the suite turns any RuntimeWarning
+        # into an error, so this fails if a route lets one out
+        result = build_report(CircuitParams.from_rates(-99.83622419419237, 423.396504510819))
+        flagged = {line.split(" = ")[0] for line in result.violations}
+        assert {"closed_vs_spectral", "closed_vs_rk", "spectral_vs_rk"} <= flagged
+
     def test_route_agreement_bounds(self):
         params = CircuitParams.from_rates(0.5, 1.0)
         grid = uniform_grid(1.0, 0.1)
