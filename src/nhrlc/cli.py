@@ -162,8 +162,13 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2
 
-    for traj in trajectories.values():
+    nonfinite = False
+    for name, traj in trajectories.items():
         dynamics.write_csv(traj, sys.stdout)
+        bad = ~np.isfinite(traj.states).all(axis=1)
+        if bad.any():  # one route alone has no agreement gate to fail it
+            print(f"{name}: state not finite from t={traj.times[bad.argmax()]:g}", file=sys.stderr)
+            nonfinite = True
 
     agreement = route_agreement(trajectories, args.dt)
     for name_a, name_b, err, at, tol in agreement:
@@ -175,7 +180,8 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         )
     if args.method == "all" and agreement:
         print(f"three-way max error: {np.max([r[2] for r in agreement]):.3e}", file=sys.stderr)
-    return 1 if any(exceeds(err, tol) for _, _, err, _, tol in agreement) else 0
+    failed = nonfinite or any(exceeds(err, tol) for _, _, err, _, tol in agreement)
+    return 1 if failed else 0
 
 
 def _parse_matrix(flat: list[float]) -> np.ndarray:

@@ -353,6 +353,16 @@ class TestEvolve:
         assert "spectral vs rk: max error nan" in err
         assert err.strip().splitlines()[-1] == "three-way max error: nan"
 
+    def test_single_route_nan_fails_the_run(self, capsys):
+        # no agreement gate on one route: its non-finite states fail the run
+        code, out, err = run_cli(
+            capsys, "evolve", "--alpha", "1e200", "--omega0", "1", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "rk",
+        )
+        assert code == 1
+        assert "nan" in out
+        assert err.strip().splitlines() == ["rk: state not finite from t=0.1"]
+
     def test_overflow_is_warning_free(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

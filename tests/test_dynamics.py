@@ -248,6 +248,33 @@ class TestIntegrated:
         assert len(calls) == len(counts)
         assert sum(shape[0] for shape in calls) == len(set(spans))
 
+    def test_each_integrator_call_covers_one_substep(self, monkeypatch):
+        grids = []
+
+        def recorded(h, state0, times, step):
+            grids.append((list(times), step))
+            return integrate_rk4(h, state0, times, step)
+
+        monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", recorded)
+        evolve_integrated(BP_REF, REST, uniform_grid(10.0, 0.01), step=1e-3)
+        assert grids
+        for (start, end), step in grids:
+            assert start == 0.0 and end <= step
+
+    @pytest.mark.parametrize(
+        "grid, params",
+        [(uniform_grid(5.0, 0.5), p) for p in (BP_REF, UP_REF, EP_REF, GAIN_REF)]
+        + [(uniform_grid(20.0, 2.0), GAIN_REF)],
+        ids=["BP-m500", "UP-m500", "EP-m500", "gain-m500", "gain-m2000"],
+    )
+    def test_powered_propagators_on_long_intervals(self, grid, params):
+        # a power of one rounded substep drifts by about one eps per substep
+        traj = evolve_integrated(params, REST, grid, step=1e-3)
+        loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), grid, 1e-3)
+        n = sum(max(1, math.ceil(span / 1e-3 - 1e-12)) for span in np.diff(grid).tolist())
+        bound = n * np.finfo(float).eps * np.abs(loop).max()
+        assert np.abs(traj.states - loop).max() <= bound
+
     @pytest.mark.parametrize(
         "kwargs",
         [
