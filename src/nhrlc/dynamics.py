@@ -15,9 +15,9 @@
   generator H*(L/L0) over a length L0 with the same m: all lengths that
   share a substep count take one substep of L0/m together, as one stack of
   generators, in one integrate_rk4 call, and each one-substep matrix is
-  raised to the m-th power. The states then follow the recurrence
-  Phi_k = M_k Phi_{k-1} through the interval propagators, in Python
-  complex arithmetic.
+  raised to the m-th power. -iH is real, so the propagators M_k are real
+  2x2 matrices; Hillis-Steele doubling forms every prefix M_k...M_1 in
+  ceil(log2 n) array passes, and Phi_k is its prefix applied to Phi(0).
 
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
@@ -162,8 +162,8 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     return out
 
 
-# Rows per block of the RK recurrence and of the CSV writers: bounds their
-# working memory on long grids.
+# Rows per block of the CSV writers: bounds their working memory on long
+# grids.
 SCAN_BLOCK = 1024
 
 
@@ -177,9 +177,10 @@ def evolve_integrated(
     their substep count m = max(1, ceil(L/step - 1e-12)); each group's
     one-substep matrices come from one :func:`integrate_rk4` call over
     [0, L0/m], L0 the group's first length, on the generator stack
-    H*(L/L0), and are raised to the m-th power by repeated squaring. Each
-    interval then applies its length's propagator to the last state, and
-    the states are stored SCAN_BLOCK rows at a time. The power reuses one
+    H*(L/L0), and are raised to the m-th power by repeated squaring. -iH
+    and Phi(0) are real, so are the propagators: ceil(log2 n) doubling
+    passes over their real entries give every prefix product M_k...M_1,
+    and each state is its prefix applied to Phi(0). The power reuses one
     rounded substep, so its rounding error grows like m*eps per interval
     (1.6e-11 relative at m = 4000 for a gain point, against 6e-14 stepwise),
     far below the O(step^4) truncation error the gates allow.
@@ -193,14 +194,15 @@ def evolve_integrated(
     spans = np.diff(full)
     if not np.all((spans > 0) & np.isfinite(spans)):
         raise ValueError("time grid must be strictly increasing")
-    lengths = sorted(dict.fromkeys(spans.tolist()))  # ascending, so m is too
+    lengths = np.sort(spans)
+    lengths = lengths[np.diff(lengths, prepend=0.0) > 0]  # distinct; ascending, so m is too
     groups: dict[int, list[float]] = {}  # substep count -> its lengths
-    for length in lengths:
+    for length in lengths.tolist():
         groups.setdefault(max(1, math.ceil(length / step - 1e-12)), []).append(length)
     h = hamiltonian(params)
-    props = {}  # span length -> its propagator's row-major entries
     # a huge generator overflows its propagators; the gates fail the inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
+        props = [np.empty((0, 2, 2))]  # then one per distinct length, ascending
         for m, group in groups.items():
             substep = group[0] / m
             stack = integrate_rk4(
@@ -209,21 +211,17 @@ def evolve_integrated(
                 [0.0, substep],
                 substep,
             )[1]
-            stack = np.linalg.matrix_power(stack, m)
-            props.update(zip(group, stack.reshape(-1, 4).tolist()))
-    x, y = initial_state(init, params).tolist()
-    out = np.empty((full.size, 2), dtype=complex)
-    if full.size:
-        out[0] = x, y
-    for lo in range(0, spans.size, SCAN_BLOCK):
-        xs, ys = [], []
-        for span in spans[lo:lo + SCAN_BLOCK].tolist():
-            p00, p01, p10, p11 = props[span]
-            x, y = p00 * x + p01 * y, p10 * x + p11 * y
-            xs.append(x)
-            ys.append(y)
-        out[lo + 1:lo + 1 + len(xs), 0] = xs
-        out[lo + 1:lo + 1 + len(xs), 1] = ys
+            props.append(np.linalg.matrix_power(stack.real, m))
+        # q[:, :, k]: interval k's propagator, then by doubling the prefix product up to k
+        q = np.take(np.concatenate(props).transpose(1, 2, 0), np.searchsorted(lengths, spans), -1)
+        shift = 1
+        while shift < spans.size:
+            late, early = q[..., shift:], q[..., :-shift]
+            q[..., shift:] = late[:, :1] * early[0] + late[:, 1:] * early[1]
+            shift *= 2
+        x0 = initial_state(init, params).real
+        out = np.empty((full.size, 2), dtype=complex)
+        out[:1], out[1:] = x0, (q[:, 0] * x0[0] + q[:, 1] * x0[1]).T
     states = out[full.size - ts.size:]
     return Trajectory(times=ts, states=states, method="integrated")
 
@@ -236,7 +234,7 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
     ):
         raise GridMismatch("trajectories are sampled on different time grids")
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.linalg.norm(traj_a.states - traj_b.states, axis=1)
+        dist = np.hypot(*np.abs(traj_a.states - traj_b.states).T)  # no squares to overflow
     err = float(np.max(dist))  # NaN if any distance is NaN
     idx = int(np.argmax(dist)) if np.isfinite(err) else int(np.argmin(np.isfinite(dist)))
     return err, float(traj_a.times[idx])

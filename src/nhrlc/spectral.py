@@ -108,8 +108,10 @@ def modes(alpha, omega0) -> Modes:
     # [()] turns 0-d input into numpy scalars, whose arithmetic is cheaper
     alpha = np.asarray(alpha, dtype=float)[()]
     w0 = np.asarray(omega0, dtype=float)[()]
-    # a root per factor: (omega0 - alpha)*(omega0 + alpha) overflows past 1e154
-    root = np.sqrt((w0 - alpha).astype(complex)) * np.sqrt((w0 + alpha).astype(complex))
+    # a root per quartered factor: (omega0 - alpha)*(omega0 + alpha) overflows
+    # past 1e154 and omega0 + alpha past 1.8e308; sqrt(x/4) = sqrt(x)/2 exactly
+    w4, a4 = w0 / 4, alpha / 4
+    root = 4 * (np.sqrt((w4 - a4).astype(complex)) * np.sqrt((w4 + a4).astype(complex)))
     # sign bit, not alpha < 0: at alpha = -0.0 either labelling gives the same pair
     gain = np.signbit(alpha)
     big = -1j * alpha - np.copysign(1.0, alpha) * root

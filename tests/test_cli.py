@@ -299,6 +299,18 @@ class TestSweep:
         assert len(rows) == 3
         assert all(np.isfinite(float(v)) for r in rows for k, v in r.items() if k != "phase")
 
+    def test_finite_eigenvalues_where_omega0_plus_alpha_overflows(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "sweep", "--omega0", "1e308", "--alpha-min", "0",
+                "--alpha-max", "8.5e307", "--steps", "3",
+            )
+        assert code == 0 and err == "" and not caught
+        rows = self.rows(out)
+        assert [r["phase"] for r in rows] == ["BP"] * 3
+        assert all(np.isfinite(float(v)) for r in rows for k, v in r.items() if k != "phase")
+
 
 class TestEvolve:
     BASE = [
@@ -372,7 +384,8 @@ class TestEvolve:
             )
         assert code == 1
         assert not caught and "RuntimeWarning" not in err
-        assert "spectral vs rk: max error nan at t=744 " in err
+        # the distances stay finite up to the first non-finite RK state
+        assert "spectral vs rk: max error nan at t=1484 " in err
 
     def test_refused_route_exit_2_with_one_line(self, capsys):
         # alpha <= -omega0 lies outside the phase taxonomy: eigensystem refuses it

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nhrlc.dynamics
 from nhrlc import (
@@ -275,6 +277,41 @@ class TestIntegrated:
         bound = n * np.finfo(float).eps * np.abs(loop).max()
         assert np.abs(traj.states - loop).max() <= bound
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["BP", "UP", "EP", "gain"]),
+        st.floats(min_value=0.05, max_value=0.999),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0)),
+        st.lists(
+            st.one_of(st.floats(min_value=1e-4, max_value=0.05), st.sampled_from([1e-3, 0.01, 0.0315])),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_prefix_products_match_stepwise_on_random_grids(self, kind, ratio, w0, start, spans):
+        # substep counts from 1 to 50 on many distinct lengths, from t = 0 or later
+        alpha = {"BP": ratio, "UP": 1.0 + 2.0 * ratio, "EP": 1.0 + (ratio - 0.5) * 1e-12,
+                 "gain": -ratio}[kind]
+        params = CircuitParams.from_rates(alpha * w0, w0)
+        grid = start + np.cumsum(np.concatenate([[0.0], spans]))
+        traj = evolve_integrated(params, REST, grid, step=1e-3)
+        full = grid if grid[0] == 0.0 else np.concatenate([[0.0], grid])
+        loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), full, 1e-3)
+        n = sum(max(1, math.ceil(span / 1e-3 - 1e-12)) for span in np.diff(full).tolist())
+        # each substep rounds by about eps of the largest state; near the EP the
+        # propagator's powers are a Jordan block's, whose growth 1 + omega0*t
+        # scales that rounding
+        bound = n * np.finfo(float).eps * np.abs(loop).max() * (1.0 + w0 * grid[-1])
+        assert np.abs(traj.states - loop[full.size - grid.size:]).max() <= bound
+
+    @pytest.mark.parametrize("grid", [uniform_grid(10.0, 0.01), np.linspace(0.35, 4.0, 301)],
+                             ids=["report-default", "late-start"])
+    @pytest.mark.parametrize("params", [BP_REF, UP_REF, EP_REF, GAIN_REF], ids=["BP", "UP", "EP", "gain"])
+    def test_states_have_zero_imaginary_parts(self, grid, params):
+        # the generator -iH and the initial state are real
+        imag = evolve_integrated(params, REST, grid, step=1e-3).states.imag
+        assert np.all(imag == 0.0) and not np.any(np.signbit(imag))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -360,6 +397,15 @@ class TestCompare:
         states[2, 0], states[4, 1] = np.inf, np.nan
         err, at = compare(a, Trajectory(times=grid, states=states, method="b"))
         assert np.isnan(err) and at == 2.0
+
+    def test_finite_states_past_the_square_root_of_the_largest_float(self):
+        # squaring these distances would overflow; hypot does not
+        grid = uniform_grid(2.0, 1.0)
+        big = np.full((grid.size, 2), 1e200, dtype=complex)
+        a = Trajectory(times=grid, states=big, method="a")
+        b = Trajectory(times=grid, states=-big, method="b")
+        err, at = compare(a, b)
+        assert err == pytest.approx(2e200 * SQ2, rel=1e-15) and at == 0.0
 
 
 class TestPhysicalBounds:

@@ -252,6 +252,15 @@ class TestModes:
         np.testing.assert_allclose(got.lambda_plus, [-0.5j / alpha, 2j * alpha], rtol=1e-15)
         np.testing.assert_allclose(got.lambda_minus, [-2j * alpha, 0.5j / alpha], rtol=1e-15)
 
+    def test_finite_eigenvalues_where_omega0_plus_alpha_overflows(self):
+        # BP, so |lambda| = omega0; only the n_phi products overflow here
+        with np.errstate(over="ignore"):
+            got = modes(8.5e307, 1e308)
+        for field in self.FIELDS[:4]:
+            value = getattr(got, field)
+            assert np.isfinite(value) and abs(value) == pytest.approx(1e308, rel=1e-15), field
+        assert got.lambda_plus.imag == pytest.approx(-8.5e307, rel=1e-15)
+
     def test_exceptional_point_is_warning_free(self):
         got = modes(np.array([1.0, -1.0]), 1.0)
         np.testing.assert_array_equal(got.lambda_plus, got.lambda_minus)
