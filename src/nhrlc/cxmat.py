@@ -31,7 +31,7 @@ def as_cmat(m, size: int) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("matrix entries must be finite")
     return out
 
@@ -41,7 +41,7 @@ def as_cvec2(v) -> np.ndarray:
     out = np.asarray(v, dtype=complex).reshape(-1)
     if out.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {np.shape(v)}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("vector entries must be finite")
     return out
 
@@ -60,7 +60,7 @@ def rescale(*mats) -> tuple[list[np.ndarray], float]:
 
 def outer(f, g) -> np.ndarray:
     """Rank-one map |f><g|: (|f><g|) h = <g, h> f."""
-    return np.outer(np.asarray(f, dtype=complex), np.conj(np.asarray(g, dtype=complex)))
+    return np.asarray(f, dtype=complex)[:, None] * np.conj(np.asarray(g, dtype=complex))
 
 
 class Eig2(NamedTuple):
@@ -194,10 +194,21 @@ def char_poly_coeffs(m) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value of a 2x2 matrix, from the Gram closed form."""
-    a = as_cmat(m, 2)
-    g = a.conj().T @ a
-    tr = float(np.trace(g).real)
-    det = float((g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    return float(np.sqrt(max((tr + np.sqrt(disc)) / 2.0, 0.0)))
+    """Largest singular value of a 2x2 matrix, in closed form on Python scalars.
+
+    sigma_max^2 = (F + sqrt(F^2 - 4|det|^2))/2 with F the squared Frobenius
+    norm, taken without its cancellation at s1 ~ s2: for M = [[w, x], [y, z]]
+    and u = det/|det|, (s1 +- s2)^2 = F +- 2|det| = |w +- u z*|^2 + |x -+ u y*|^2.
+    Entries are first divided by a power of two, so nothing overflows.
+    """
+    entries = as_cmat(m, 2).ravel().tolist()
+    top = max(max(abs(v.real), abs(v.imag)) for v in entries)
+    unit = math.ldexp(0.5, math.frexp(top)[1])
+    w, x, y, z = (v / unit for v in entries)
+    det = w * z - x * y
+    u = det / abs(det) if det else 1.0
+    uz, uy = u * z.conjugate(), u * y.conjugate()
+    p, q, r, s = w + uz, x - uy, w - uz, x + uy
+    s_sum = math.hypot(p.real, p.imag, q.real, q.imag)
+    s_diff = math.hypot(r.real, r.imag, s.real, s.imag)
+    return unit * ((s_sum + s_diff) / 2.0)

@@ -136,7 +136,8 @@ def solve_intertwiners(a, b) -> list[np.ndarray]:
     """
     (amat, bmat), _ = rescale(as_cmat(a, 2), as_cmat(b, 2))
     eye = np.eye(2, dtype=complex)
-    sylvester = np.kron(amat, eye) - np.kron(eye, bmat.T)
-    _, svals, vh = np.linalg.svd(sylvester)
+    # entry (i, k, j, l) is A[i, j] I[k, l] - I[i, j] B^T[k, l], the products np.kron forms
+    sylvester = amat[:, None, :, None] * eye[:, None] - eye[:, None, :, None] * bmat.T[:, None]
+    _, svals, vh = np.linalg.svd(sylvester.reshape(4, 4))
     tol = NULLSPACE_RTOL * (svals[0] if svals.size else 0.0)
     return [np.conj(vh[i]).reshape(2, 2) for i in range(4) if svals[i] <= tol]

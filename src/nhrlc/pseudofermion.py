@@ -42,6 +42,14 @@ EXISTENCE_ATOL = 1e-10
 PT_ATOL = 1e-12
 
 PARITY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# e1, e2, i*e1, i*e2 as columns: PT is antilinear, so these four settle [PT, H]
+PT_PROBES = np.array([[1.0, 0.0, 1j, 0.0], [0.0, 1.0, 0.0, 1j]])
+
+LADDER_RELATIONS = (
+    "c_phi_minus", "c_phi_plus", "cc_phi_minus", "cc_phi_plus",
+    "ccdag_psi_minus", "ccdag_psi_plus", "cdag_psi_minus", "cdag_psi_plus",
+    "nphi_phi_minus", "nphi_phi_plus", "npsi_psi_minus", "npsi_psi_plus",
+)
 
 
 @dataclass(frozen=True)
@@ -162,24 +170,12 @@ def ladder_check(pf: PseudoFermionPair, system: BiorthogonalSystem) -> dict[str,
     cd, ccd = c.conj().T, cc.conj().T
     n_phi = cc @ c
     n_psi = cd @ ccd
-
-    def r(vec) -> float:
-        return float(np.linalg.norm(vec))
-
-    return {
-        "c_phi_minus": r(c @ phi_m),
-        "c_phi_plus": r(c @ phi_p - phi_m),
-        "cc_phi_minus": r(cc @ phi_m - phi_p),
-        "cc_phi_plus": r(cc @ phi_p),
-        "ccdag_psi_minus": r(ccd @ psi_m),
-        "ccdag_psi_plus": r(ccd @ psi_p - psi_m),
-        "cdag_psi_minus": r(cd @ psi_m - psi_p),
-        "cdag_psi_plus": r(cd @ psi_p),
-        "nphi_phi_minus": r(n_phi @ phi_m),
-        "nphi_phi_plus": r(n_phi @ phi_p - phi_p),
-        "npsi_psi_minus": r(n_psi @ psi_m),
-        "npsi_psi_plus": r(n_psi @ psi_p - psi_p),
-    }
+    residuals = np.array([
+        c @ phi_m, c @ phi_p - phi_m, cc @ phi_m - phi_p, cc @ phi_p,
+        ccd @ psi_m, ccd @ psi_p - psi_m, cd @ psi_m - psi_p, cd @ psi_p,
+        n_phi @ phi_m, n_phi @ phi_p - phi_p, n_psi @ psi_m, n_psi @ psi_p - psi_p,
+    ])
+    return dict(zip(LADDER_RELATIONS, np.linalg.norm(residuals, axis=1).tolist()))
 
 
 def fermionize(pf: PseudoFermionPair, pair: MetricPair) -> FermionizedSystem:
@@ -215,7 +211,8 @@ def susy_partner(pf: PseudoFermionPair) -> np.ndarray:
 
 
 def pt_probe(h, v) -> tuple[np.ndarray, np.ndarray]:
-    """(H PT v, PT H v) for the parity-times-conjugation operator."""
+    """(H PT v, PT H v) for the parity-times-conjugation operator; ``v`` is a
+    2-vector or a 2xk block of probe vectors as columns."""
     a = as_cmat(h, 2)
     vec = np.asarray(v, dtype=complex)
     return a @ (PARITY @ np.conj(vec)), PARITY @ np.conj(a @ vec)
@@ -236,17 +233,7 @@ def pt_check(h) -> PtReport:
     identity. For circuit generators the flag is true exactly when
     omega0 = 1 and alpha = 0 (the lossless unit-frequency LC circuit).
     """
-    probes = (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-        np.array([1j, 0.0], dtype=complex),
-        np.array([0.0, 1j], dtype=complex),
-    )
-    residuals = []
-    for v in probes:
-        left, right = pt_probe(h, v)
-        residuals.append(float(np.linalg.norm(left - right)))
-    return PtReport(
-        probe_residuals=tuple(residuals),
-        is_pt_symmetric=bool(max(residuals) < PT_ATOL),
-    )
+    left, right = pt_probe(h, PT_PROBES)
+    # column norms as hypot of entry moduli: squared entries overflow past 1e154
+    residuals = tuple(np.hypot(*np.abs(left - right)).tolist())
+    return PtReport(probe_residuals=residuals, is_pt_symmetric=max(residuals) < PT_ATOL)

@@ -118,8 +118,9 @@ def modes(alpha, omega0) -> Modes:
     small = -w0 * (w0 / big)
     lam_p, lam_m = np.where(gain, (big, small), (small, big)) + 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        n_phi_p = w0 / (2.0 * lam_p) * (w0 / root) + 0.0
-        n_phi_m = -w0 / (2.0 * lam_m) * (w0 / root) + 0.0
+        # halved after the division: 2*lambda overflows past half the largest float
+        n_phi_p = w0 / lam_p / 2.0 * (w0 / root) + 0.0
+        n_phi_m = -w0 / lam_m / 2.0 * (w0 / root) + 0.0
     return Modes(lam_p, lam_m, -lam_m + 0.0, -lam_p + 0.0, n_phi_p, n_phi_m)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,10 @@ from nhrlc.errors import NotPositiveHermitian
 from helpers import rk4_states
 
 SQ2 = np.sqrt(2.0)
+
+# NaN, +inf and -inf, in the real and in the imaginary part
+NON_FINITE = [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
+NON_FINITE += [complex(0.0, x) for x in (np.nan, np.inf, -np.inf)]
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
@@ -33,6 +39,22 @@ class TestValidation:
     def test_as_cvec2_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             as_cvec2([1.0, np.nan])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", range(4))
+    def test_as_cmat_rejects_a_non_finite_entry(self, bad, index):
+        m = np.eye(2, dtype=complex)
+        m.flat[index] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_cmat(m, 2)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("index", range(2))
+    def test_as_cvec2_rejects_a_non_finite_entry(self, bad, index):
+        v = np.ones(2, dtype=complex)
+        v[index] = bad
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            as_cvec2(v)
 
 
 class TestEig2:
@@ -245,6 +267,41 @@ def test_operator_norm_against_svd():
     for _ in range(25):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert abs(operator_norm(m) - np.linalg.svd(m, compute_uv=False)[0]) < 1e-12
+
+
+class TestOperatorNorm:
+    """The closed form against LAPACK's largest singular value."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+    def test_matches_svd_on_random_matrices(self, scale):
+        rng = np.random.default_rng(23)
+        for m in (rng.normal(size=(2000, 2, 2)) + 1j * rng.normal(size=(2000, 2, 2))) * scale:
+            ref = np.linalg.norm(m, 2)
+            assert abs(operator_norm(m) - ref) <= 4 * np.finfo(float).eps * ref
+
+    def test_matches_svd_on_close_singular_values(self):
+        # where (F + sqrt(F^2 - 4|det|^2))/2 cancels: s2 = s1 (1 - 10^-k)
+        rng = np.random.default_rng(29)
+        for k in range(17):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            m = u @ np.diag([1.0, 1.0 - 10.0**-k]) @ v
+            ref = np.linalg.norm(m, 2)
+            assert abs(operator_norm(m) - ref) <= 4 * np.finfo(float).eps * ref, k
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (np.zeros((2, 2)), 0.0),
+            (np.diag([1e308, 1.0]), 1e308),
+            (np.diag([5e-324, 0.0]), 5e-324),
+            (np.full((2, 2), 1e300j), 2e300),
+        ],
+    )
+    def test_exact_at_the_ends_of_the_float_range(self, m, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert operator_norm(m) == expected
 
 
 class TestRescale:

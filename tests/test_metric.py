@@ -20,6 +20,8 @@ from nhrlc import (
     trace_det,
     verify_intertwining,
 )
+from nhrlc.cxmat import as_cmat, rescale
+from nhrlc.metric import NULLSPACE_RTOL
 
 from helpers import draw_params
 
@@ -27,6 +29,15 @@ SQ2 = np.sqrt(2.0)
 
 BP_REF = CircuitParams.from_rates(1 / SQ2, 1.0)
 UP_REF = CircuitParams.from_rates(5 / 4, 3 / 4)
+
+
+def kron_intertwiners(a, b):
+    """solve_intertwiners with its Sylvester matrix from two np.kron calls."""
+    (amat, bmat), _ = rescale(as_cmat(a, 2), as_cmat(b, 2))
+    eye = np.eye(2, dtype=complex)
+    _, svals, vh = np.linalg.svd(np.kron(amat, eye) - np.kron(eye, bmat.T))
+    tol = NULLSPACE_RTOL * svals[0]
+    return [np.conj(vh[i]).reshape(2, 2) for i in range(4) if svals[i] <= tol]
 
 
 class TestMetricPair:
@@ -270,6 +281,23 @@ class TestSolveIntertwiners:
             if params.alpha < 1e-3:
                 continue  # Hermitian limit: commutant becomes nontrivial
             assert solve_intertwiners(hamiltonian(params), gain_hamiltonian(params)) == []
+
+
+    @pytest.mark.parametrize(
+        "alpha", [0.3, 1 / SQ2, 1.25, 3.0, -0.3, -0.999, 1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9]
+    )
+    def test_basis_bitwise_equals_kron_reference(self, alpha):
+        params = CircuitParams.from_rates(alpha, 1.0)
+        h, hd = hamiltonian(params), gain_hamiltonian(params)
+        rng = np.random.default_rng(19)
+        shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+        pairs = [(h, hd), (hd, h), (h, h), (h, np.eye(2)), (shear, np.eye(2))]
+        pairs += [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)) for _ in range(5)]
+        for a, b in pairs:
+            got, ref = solve_intertwiners(a, b), kron_intertwiners(a, b)
+            assert len(got) == len(ref)
+            for x, y in zip(got, ref):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestRandomDrawProperties:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from nhrlc import (
     sqrt_pos_hermitian,
     susy_partner,
 )
+from nhrlc.pseudofermion import PT_PROBES, _ladder_basis
 
 from helpers import draw_params
 
@@ -31,6 +34,40 @@ BP_REF = CircuitParams.from_rates(1 / SQ2, 1.0)
 UP_REF = CircuitParams.from_rates(5 / 4, 3 / 4)
 
 EYE = np.eye(2, dtype=complex)
+EPS = np.finfo(float).eps
+
+# BP, UP, gain BP, and both sides of the EP at relative distances 1e-6 and 1e-9
+EQUIVALENCE_POINTS = [
+    CircuitParams.from_rates(alpha, 1.0)
+    for alpha in (0.3, 1.25, 3.0, -0.3, -0.999, 1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9)
+] + [BP_REF, UP_REF]
+
+
+def ladder_reference(pf, system):
+    """ladder_check as one matrix-vector product and one norm per relation."""
+    phi_m, phi_p, psi_m, psi_p = _ladder_basis(system, pf.rho)
+    c, cc = pf.c_op, pf.cc_op
+    cd, ccd = c.conj().T, cc.conj().T
+    n_phi = cc @ c
+    n_psi = cd @ ccd
+
+    def r(vec) -> float:
+        return float(np.linalg.norm(vec))
+
+    return {
+        "c_phi_minus": r(c @ phi_m),
+        "c_phi_plus": r(c @ phi_p - phi_m),
+        "cc_phi_minus": r(cc @ phi_m - phi_p),
+        "cc_phi_plus": r(cc @ phi_p),
+        "ccdag_psi_minus": r(ccd @ psi_m),
+        "ccdag_psi_plus": r(ccd @ psi_p - psi_m),
+        "cdag_psi_minus": r(cd @ psi_m - psi_p),
+        "cdag_psi_plus": r(cd @ psi_p),
+        "nphi_phi_minus": r(n_phi @ phi_m),
+        "nphi_phi_plus": r(n_phi @ phi_p - phi_p),
+        "npsi_psi_minus": r(n_psi @ psi_m),
+        "npsi_psi_plus": r(n_psi @ psi_p - psi_p),
+    }
 
 
 def anticommutator(x, y):
@@ -205,6 +242,19 @@ class TestLadderRelations:
         pf = pf_identify(UP_REF, "plus")
         assert np.linalg.norm(pf.c_op @ (pf.c_op @ pf.phi_plus)) < 1e-13
 
+    @pytest.mark.parametrize("params", EQUIVALENCE_POINTS)
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_stacked_residuals_match_per_relation_reference(self, params, branch):
+        system = eigensystem(params)
+        pf = pf_identify(params, branch)
+        got, ref = ladder_check(pf, system), ladder_reference(pf, system)
+        assert list(got) == list(ref)
+        ops = (pf.c_op, pf.cc_op, pf.cc_op @ pf.c_op, pf.c_op.conj().T @ pf.cc_op.conj().T)
+        vecs = (pf.phi_minus, pf.phi_plus, pf.psi_minus, pf.psi_plus)
+        scale = max(np.abs(op).max() for op in ops) * max(np.abs(v).max() for v in vecs)
+        for key in ref:
+            assert abs(got[key] - ref[key]) <= 4 * EPS * scale, key
+
 
 class TestFermionize:
     def test_hermitian_limit_fermion_equals_ladder(self):
@@ -305,6 +355,31 @@ class TestPtSymmetry:
         left, right = pt_probe(hamiltonian(BP_REF), np.array([1.0, 0.0]))
         np.testing.assert_allclose(left, 1j * np.array([1.0, -2 / SQ2]), atol=1e-14)
         np.testing.assert_allclose(right, 1j * np.array([1.0, 0.0]), atol=1e-14)
+
+    @pytest.mark.parametrize("params", EQUIVALENCE_POINTS)
+    def test_probe_block_equals_single_probes(self, params):
+        h = hamiltonian(params)
+        left, right = pt_probe(h, PT_PROBES)
+        assert left.shape == right.shape == (2, 4)
+        for k in range(4):
+            one_left, one_right = pt_probe(h, PT_PROBES[:, k])
+            np.testing.assert_array_equal(left[:, k], one_left)
+            np.testing.assert_array_equal(right[:, k], one_right)
+
+    @pytest.mark.parametrize("params", EQUIVALENCE_POINTS)
+    def test_residuals_match_per_probe_norms(self, params):
+        h = hamiltonian(params)
+        ref = [np.linalg.norm(np.subtract(*pt_probe(h, v))) for v in PT_PROBES.T]
+        got = pt_check(h).probe_residuals
+        np.testing.assert_allclose(got, ref, rtol=4 * EPS, atol=0.0)
+
+    def test_finite_residuals_where_squared_entries_overflow(self):
+        # H carries omega0^2 = 1e308; each probe's residual is about that entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pt_check(hamiltonian(CircuitParams.from_rates(1e154, 1e154)))
+        assert report.probe_residuals == pytest.approx([1e308] * 4, rel=1e-15)
+        assert not report.is_pt_symmetric
 
     def test_flag_only_at_unit_lossless_point(self):
         for alpha, w0 in [(0.0, 1.5), (0.3, 1.0), (2.0, 2.0)]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,16 @@ class TestModes:
             value = getattr(got, field)
             assert np.isfinite(value) and abs(value) == pytest.approx(1e308, rel=1e-15), field
         assert got.lambda_plus.imag == pytest.approx(-8.5e307, rel=1e-15)
+
+    def test_n_phi_where_twice_lambda_overflows(self):
+        # |lambda| = 1e308 > max/2; n_phi is scale-free, so the unit point is the reference
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modes(8.5e307, 1e308)
+        ref = modes(0.85, 1.0)
+        for field in self.FIELDS[4:]:
+            assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-15), field
+        assert abs(got.n_phi_plus) == pytest.approx(0.949, rel=1e-3)
 
     def test_exceptional_point_is_warning_free(self):
         got = modes(np.array([1.0, -1.0]), 1.0)
