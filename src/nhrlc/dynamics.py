@@ -110,15 +110,19 @@ def evolve_spectral(params: CircuitParams, init: InitialData, times) -> Trajecto
     """Spectral-expansion evolution; exact matrix exponential at the EP.
 
     Away from the EP band, Phi(t) = sum_a b_a e^{-i lambda_a t} phi_a. At
-    the EP the expansion does not exist; the trajectory is then produced by
-    the Jordan-split matrix exponential and tagged "expm".
+    the EP the expansion does not exist; the trajectory is then the
+    Jordan-split matrix exponential exp(-iHt) = D exp(omega0*t*G) D^-1, with
+    D = diag(1, omega0) and G = [[0, 1], [-1, -2*alpha/omega0]], tagged "expm".
     """
     ts = np.asarray(times, dtype=float)
     state0 = initial_state(init, params)
     try:
         system = eigensystem(params)
     except ExceptionalPointError:
-        states = expm(-1j * hamiltonian(params), ts) @ state0
+        # G's entries are of order 1; H's omega0^2 overflows eig2's discriminant
+        w0 = params.omega0
+        gen = [[0.0, 1.0], [-1.0, -2.0 * params.alpha / w0]]
+        states = expm(gen, w0 * ts) @ (state0 / [1.0, w0]) * [1.0, w0]
         return Trajectory(times=ts, states=states, method="expm")
     b_plus, b_minus = expand(system, state0)
     with np.errstate(over="ignore", invalid="ignore"):  # a gain overflow fails the gates

@@ -104,19 +104,6 @@ def pf_construct(a, b, a12, b12, omega=0.0, rho=0.0) -> PseudoFermionPair:
     )
 
 
-def _branch_parameters(system: BiorthogonalSystem, branch: str):
-    """(a, b, rho, omega) of a branch; rho is the eigenvalue whose adjoint
-    partner mu = conj(rho) carries the branch's index."""
-    if branch not in ("plus", "minus"):
-        raise ValueError("branch must be 'plus' or 'minus'")
-    rho, other = system.mu_plus.conjugate(), system.mu_minus.conjugate()
-    if branch == "minus":
-        rho, other = other, rho
-    a, b = 1j * rho, 1j * other
-    # pf_construct recomputes gamma from a12, b12; omega = i/gamma = i*(a - b)
-    return a, b, rho, 1j * (a - b)
-
-
 def _ladder_basis(system: BiorthogonalSystem, rho: complex):
     """Relabel the eigensystem so phi_minus carries eigenvalue rho, and
     attach the dual (pairing-1) adjoint vectors."""
@@ -129,7 +116,8 @@ def _ladder_basis(system: BiorthogonalSystem, rho: complex):
 def pf_identify(params: CircuitParams, branch: str = "plus") -> PseudoFermionPair:
     """Identify the circuit generator with a ladder pair on the given branch.
 
-    The two branches swap c with C (and the eigenvalue assignment). The
+    The branch is the index of the adjoint partner mu = conj(rho) of the
+    ladder's base eigenvalue rho; the two branches swap c with C. The
     scale split between a12 and b12 is fixed by the bra-ket forms
     c = |phi-><dual(phi+)|, C = |phi+><dual(phi-)| built from the
     normalized eigenbasis, which satisfies the existence condition
@@ -139,12 +127,18 @@ def pf_identify(params: CircuitParams, branch: str = "plus") -> PseudoFermionPai
         raise ExistenceViolation(
             "a = b at the exceptional point; no ladder pair exists there"
         )
+    if branch not in ("plus", "minus"):
+        raise ValueError("branch must be 'plus' or 'minus'")
     system = eigensystem(params)
-    a, b, rho, omega = _branch_parameters(system, branch)
+    rho, other = system.mu_plus.conjugate(), system.mu_minus.conjugate()
+    if branch == "minus":
+        rho, other = other, rho
+    a, b = 1j * rho, 1j * other
     phi_m, phi_p, dual_m, dual_p = _ladder_basis(system, rho)
     a12 = complex(outer(phi_m, dual_p)[0, 1])
     b12 = complex(outer(phi_p, dual_m)[0, 1])
-    pf = pf_construct(a, b, a12, b12, omega=omega, rho=rho)
+    # pf_construct recomputes gamma from a12, b12; omega = i/gamma = i*(a - b)
+    pf = pf_construct(a, b, a12, b12, omega=1j * (a - b), rho=rho)
     return replace(pf, phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p)
 
 

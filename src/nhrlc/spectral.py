@@ -1,17 +1,18 @@
 """Biorthogonal eigensystems of the circuit generator and its adjoint.
 
-With H*phi_pm = lambda_pm*phi_pm and H^dag*psi_pm = mu_pm*psi_pm, the two
-eigenfamilies have the closed forms
+With H*phi_pm = lambda_pm*phi_pm and H^dag*psi_pm = mu_pm*psi_pm, the
+eigenvalue pair alone fixes both families (mu_pm = -lambda_mp and
+lambda_+ * lambda_- = -omega0^2):
 
-    phi_pm ~ (1, -i*lambda_pm),     psi_pm ~ (1, -i*mu_pm/omega0^2),
+    phi_pm = n_phi_pm*(1, -i*lambda_pm),     psi_pm = (1, -i/lambda_pm),
 
 and the pairing pattern <phi_a, psi_b> depends on the phase: in the broken
 phase the same-index pairings are 1 and the crossed ones vanish, in the
 unbroken phase it is the other way around. The inner product is
 conjugate-linear in its FIRST argument throughout.
 
-Normalization gauge: n_psi_pm = 1, with the whole phase-dependent
-normalization product pushed into n_phi_pm. At the exceptional point the
+Normalization gauge: n_psi_pm = 1, and phi carries the whole phase-dependent
+product n_phi_pm = -+lambda_mp/(lambda_+ - lambda_-). At the EP the
 eigenvectors coalesce and become self-orthogonal, <phi_EP, psi_EP> = 0;
 :func:`eigensystem` refuses inside the EP band (the normalization products
 diverge there) and :func:`ep_system` takes over.
@@ -102,8 +103,8 @@ def modes(alpha, omega0) -> Modes:
     lambda+ * lambda- = det H = -omega0^2, so neither cancels. H^dag has
     mu_pm = i*alpha +- root = -lambda_mp; the partner conj(lambda_a) of
     lambda_a has the same index for a complex spectrum, the crossed one for
-    an imaginary spectrum. n_phi_a = omega0^2/(omega0^2 + lambda_a^2)
-    = +-omega0^2/(2*lambda_a*root) is non-finite at the EP. Zeros are +0.0.
+    an imaginary spectrum. n_phi_pm = -+lambda_mp/(2*root) divides by no
+    eigenvalue and is non-finite at the EP. Zeros are +0.0.
     """
     # [()] turns 0-d input into numpy scalars, whose arithmetic is cheaper
     alpha = np.asarray(alpha, dtype=float)[()]
@@ -118,17 +119,16 @@ def modes(alpha, omega0) -> Modes:
     small = -w0 * (w0 / big)
     lam_p, lam_m = np.where(gain, (big, small), (small, big)) + 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # halved after the division: 2*lambda overflows past half the largest float
-        n_phi_p = w0 / lam_p / 2.0 * (w0 / root) + 0.0
-        n_phi_m = -w0 / lam_m / 2.0 * (w0 / root) + 0.0
+        n_phi_p = -lam_m / root / 2.0 + 0.0
+        n_phi_m = lam_p / root / 2.0 + 0.0
     return Modes(lam_p, lam_m, -lam_m + 0.0, -lam_p + 0.0, n_phi_p, n_phi_m)
 
 
 def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
-    """Phase-adapted biorthogonal eigensystem with the n_psi = 1 gauge.
+    """Phase-adapted biorthogonal eigensystem with the n_psi = 1 gauge:
+    phi_pm = n_phi_pm*(1, -i*lambda_pm), psi_pm = (1, -i/lambda_pm) from :func:`modes`.
 
-    Raises :class:`ExceptionalPointError` inside the EP band, where the
-    normalization products diverge; use :func:`ep_system` there.
+    Raises :class:`ExceptionalPointError` inside the EP band; use :func:`ep_system`.
     """
     phase = classify(params)
     if phase is Phase.EXCEPTIONAL:
@@ -142,8 +142,8 @@ def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
 
     phi_p = m.n_phi_plus * np.array([1.0, -1j * m.lambda_plus], dtype=complex)
     phi_m = m.n_phi_minus * np.array([1.0, -1j * m.lambda_minus], dtype=complex)
-    psi_p = np.array([1.0, -1j * m.mu_plus / w0 ** 2], dtype=complex)
-    psi_m = np.array([1.0, -1j * m.mu_minus / w0 ** 2], dtype=complex)
+    psi_p = np.array([1.0, -1j / m.lambda_plus], dtype=complex)
+    psi_m = np.array([1.0, -1j / m.lambda_minus], dtype=complex)
 
     return BiorthogonalSystem(
         phase=phase,

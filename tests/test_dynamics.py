@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ class TestSpectral:
         err, _ = compare(traj, rk)
         assert err < 1e-6
 
+
+    @pytest.mark.parametrize("alpha", [1e154, 1.0, 3e-5, 1e-150])
+    def test_exceptional_point_matches_the_jordan_solution(self, alpha):
+        # x1 = e^{-s}(1 - s/2), s = alpha*t, for I'(0) = -1.5*alpha; eig2 never sees omega0^2
+        params = CircuitParams.from_rates(alpha, alpha)
+        ts = np.linspace(0.0, 10.0, 101) / alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve_spectral(params, InitialData(1.0, 0.5 * alpha, 1.0), ts)
+        s = alpha * ts
+        expected = np.exp(-s)[:, None] * np.column_stack([1.0 - 0.5 * s, alpha * (0.5 * s - 1.5)])
+        err = np.abs(traj.states - expected).max(axis=0)
+        assert traj.method == "expm"
+        assert np.all(err <= 1e-14 * np.abs(expected).max(axis=0))
 
 class TestIntegrated:
     def test_norm_conserved_for_hermitian_generator(self):

@@ -16,6 +16,7 @@ from nhrlc import (
     modes,
     pairing,
 )
+from nhrlc.report import TOLERANCES
 
 SQ2 = np.sqrt(2.0)
 
@@ -206,6 +207,18 @@ class TestFamilyProperties:
                 assert abs(sys_.lambda_plus * sys_.lambda_minus + params.omega0 ** 2) < 1e-12 * scale
                 assert abs(sys_.lambda_plus + sys_.lambda_minus + 2j * params.alpha) < 1e-12 * scale
 
+    @pytest.mark.parametrize("w0", [1e-160, 1e-120, 1e-60, 1e-3, 1.0, 1e3, 1e60, 1e120, 1e150])
+    def test_biorthogonal_across_scales(self, w0):
+        # at omega0 = 1e-160, omega0^2 is subnormal; psi is built without it
+        for ratio in (0.3, 0.9, 3.0, 1.5, -0.3, -0.9, 1e-3, 1 + 1e-6, 1 - 1e-6):
+            sys_ = eigensystem(CircuitParams.from_rates(ratio * w0, w0))
+            same = 1.0 if sys_.phase is Phase.BROKEN else 0.0
+            residual = max(
+                abs(sys_.n_pp - same), abs(sys_.n_mm - same),
+                abs(sys_.n_pm - (1.0 - same)), abs(sys_.n_mp - (1.0 - same)),
+            )
+            assert residual < TOLERANCES["biorthogonality_residual"], ratio
+
     def test_gap_closes_towards_coalescence(self):
         w0 = 1.0
         gaps_below = [
@@ -272,6 +285,14 @@ class TestModes:
         for field in self.FIELDS[4:]:
             assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-15), field
         assert abs(got.n_phi_plus) == pytest.approx(0.949, rel=1e-3)
+
+    def test_n_phi_where_lambda_is_subnormal(self):
+        # lambda_plus = -4e-309j, whose reciprocal overflows; n_phi divides by no eigenvalue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modes(1.25, 1e-154)
+        assert got.n_phi_plus == pytest.approx(modes(1.25e154, 1.0).n_phi_plus, rel=1e-15)
+        assert got.n_phi_plus == pytest.approx(1.0, rel=1e-15)
 
     def test_exceptional_point_is_warning_free(self):
         got = modes(np.array([1.0, -1.0]), 1.0)
