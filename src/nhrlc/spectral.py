@@ -20,6 +20,7 @@ diverge there) and :func:`ep_system` takes over.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,6 +130,7 @@ def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
     phi_pm = n_phi_pm*(1, -i*lambda_pm), psi_pm = (1, -i/lambda_pm) from :func:`modes`.
 
     Raises :class:`ExceptionalPointError` inside the EP band; use :func:`ep_system`.
+    Raises ``ValueError`` if an eigenvector entry is not finite (|lambda| < 1/max float).
     """
     phase = classify(params)
     if phase is Phase.EXCEPTIONAL:
@@ -144,6 +146,9 @@ def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
     phi_m = m.n_phi_minus * np.array([1.0, -1j * m.lambda_minus], dtype=complex)
     psi_p = np.array([1.0, -1j / m.lambda_plus], dtype=complex)
     psi_m = np.array([1.0, -1j / m.lambda_minus], dtype=complex)
+    entries = phi_p.tolist() + phi_m.tolist() + psi_p.tolist() + psi_m.tolist()
+    if not all(map(cmath.isfinite, entries)):
+        raise ValueError("an eigenvector entry is not finite")
 
     return BiorthogonalSystem(
         phase=phase,

@@ -254,16 +254,46 @@ class TestIntegrated:
         calls = []
 
         def counted(h, state0, times, step):
-            calls.append(np.shape(h))
+            calls.append((np.shape(h), list(times)))
             return integrate_rk4(h, state0, times, step)
 
         monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", counted)
-        grid = uniform_grid(10.0, 0.01)
+        # a uniform grid has one length: one (augmented 4x4) generator over one substep
+        evolve_integrated(BP_REF, REST, uniform_grid(10.0, 0.01), step=1e-3)
+        assert calls == [((1, 4, 4), [0.0, 0.001])]
+        calls.clear()
+        grid = np.cumsum(np.linspace(0.002, 0.03, 150))
         evolve_integrated(BP_REF, REST, grid, step=1e-3)
-        spans = np.diff(grid).tolist()
+        spans = np.diff(np.concatenate([[0.0], grid])).tolist()
         counts = {max(1, math.ceil(span / 1e-3 - 1e-12)) for span in spans}
         assert len(calls) == len(counts)
-        assert sum(shape[0] for shape in calls) == len(set(spans))
+        assert sum(shape[0] for shape, _ in calls) == len(set(spans))
+
+    @pytest.mark.parametrize("params", [BP_REF, UP_REF, EP_REF, GAIN_REF], ids=["BP", "UP", "EP", "gain"])
+    def test_grid_one_ulp_off_uniform_takes_the_scan(self, params, monkeypatch):
+        shapes = []
+
+        def recorded(h, state0, times, step):
+            shapes.append(np.shape(h))
+            return integrate_rk4(h, state0, times, step)
+
+        grid = uniform_grid(10.0, 0.01)
+        grid[500] = np.nextafter(grid[500], np.inf)
+        monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", recorded)
+        traj = evolve_integrated(params, REST, grid, step=1e-3)
+        assert sum(shape[0] for shape in shapes) > 1  # one generator per distinct length
+        loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), grid, 1e-3)
+        assert np.abs(traj.states - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    @pytest.mark.parametrize(
+        "grid", [uniform_grid(10.0, 1e-3), uniform_grid(20.0, 4.0)], ids=["m=1", "m=4000"]
+    )
+    def test_substep_rounding_does_not_add_up(self, grid):
+        # a propagator kept as M = I + D is rounded at 1 on its diagonal; reused
+        # over 10^4 substeps, that drifts about 1e-12 relative at a gain point
+        traj = evolve_integrated(GAIN_REF, REST, grid, step=1e-3)
+        loop = integrate_rk4(hamiltonian(GAIN_REF), initial_state(REST, GAIN_REF), grid, 1e-3)
+        assert np.abs(traj.states - loop).max() <= 1e-13 * np.abs(loop).max()
 
     def test_each_integrator_call_covers_one_substep(self, monkeypatch):
         grids = []

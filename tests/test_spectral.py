@@ -110,6 +110,15 @@ class TestEigenvectorDefinition:
         assert abs(values[0] - sys_.lambda_plus) < 1e-12
         assert abs(values[1] - sys_.lambda_minus) < 1e-12
 
+    def test_refuses_a_non_finite_eigenvector(self):
+        # |lambda_plus| = 4e-309 is below 1/(largest float), so -i/lambda_plus is inf
+        params = CircuitParams.from_rates(1.25, 1e-154)
+        assert 0 < abs(modes(params.alpha, params.omega0).lambda_plus) < 1 / np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="eigenvector entry is not finite"):
+                eigensystem(params)
+
 
 class TestExceptionalSystem:
     def test_reference_point(self):
