@@ -19,6 +19,7 @@ overdamped), genuinely complex (broken phase, underdamped), or coalescent
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ class CircuitParams:
         if capacitance <= 0:
             raise ValueError("capacitance must be positive")
         alpha = resistance / (2.0 * inductance)
-        omega0 = 1.0 / np.sqrt(inductance * capacitance)
+        # a root per factor: L*C overflows past 1.8e308 and loses digits below 2.2e-308
+        omega0 = 1.0 / (math.sqrt(inductance) * math.sqrt(capacitance))
         return cls(
             alpha=float(alpha),
             omega0=float(omega0),

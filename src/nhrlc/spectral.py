@@ -30,6 +30,8 @@ from .circuit import CircuitParams, Phase, classify
 from .cxmat import as_cvec2
 from .errors import ExceptionalPointError, NotExceptionalError
 
+_last: tuple = (None, None)  # (params, system) of the last build; refusals are not stored
+
 
 def pairing(x, y) -> complex:
     """<x, y>, conjugate-linear in the first slot."""
@@ -129,9 +131,19 @@ def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
     """Phase-adapted biorthogonal eigensystem with the n_psi = 1 gauge:
     phi_pm = n_phi_pm*(1, -i*lambda_pm), psi_pm = (1, -i/lambda_pm) from :func:`modes`.
 
+    A repeat call with the last built params object (that object: 0.0 == -0.0)
+    returns the same system; its eigenvector arrays are read-only, as callers share them.
     Raises :class:`ExceptionalPointError` inside the EP band; use :func:`ep_system`.
     Raises ``ValueError`` if an eigenvector entry is not finite (|lambda| < 1/max float).
     """
+    global _last
+    last = _last
+    if params is not last[0]:
+        last = _last = (params, _build(params))
+    return last[1]
+
+
+def _build(params: CircuitParams) -> BiorthogonalSystem:
     phase = classify(params)
     if phase is Phase.EXCEPTIONAL:
         raise ExceptionalPointError(
@@ -146,9 +158,10 @@ def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
     phi_m = m.n_phi_minus * np.array([1.0, -1j * m.lambda_minus], dtype=complex)
     psi_p = np.array([1.0, -1j / m.lambda_plus], dtype=complex)
     psi_m = np.array([1.0, -1j / m.lambda_minus], dtype=complex)
-    entries = phi_p.tolist() + phi_m.tolist() + psi_p.tolist() + psi_m.tolist()
-    if not all(map(cmath.isfinite, entries)):
-        raise ValueError("an eigenvector entry is not finite")
+    for vec in (phi_p, phi_m, psi_p, psi_m):
+        if not all(map(cmath.isfinite, vec.tolist())):
+            raise ValueError("an eigenvector entry is not finite")
+        vec.setflags(write=False)
 
     return BiorthogonalSystem(
         phase=phase,

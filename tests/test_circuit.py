@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,16 @@ SQ2 = np.sqrt(2.0)
 
 
 class TestCircuitParams:
-    def test_from_rlc_exact_rates(self):
-        p = CircuitParams.from_rlc(2.0, 1.0, 0.25)
-        assert p.alpha == 1.0
-        assert p.omega0 == 2.0
+    # L*C overflows to inf at L = C = 1e200 and is subnormal at 1e-154
+    @pytest.mark.parametrize("l,c,omega0", [
+        (1.0, 0.25, 2.0), (1e200, 1e200, 1e-200), (1e-154, 1e-154, 1e154),
+    ])
+    def test_from_rlc_exact_rates(self, l, c, omega0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = CircuitParams.from_rlc(2.0, l, c)
+        assert p.alpha == 1.0 / l
+        assert p.omega0 == pytest.approx(omega0, rel=4e-16)
         assert p.resistance == 2.0
 
     def test_negative_resistance_allowed(self):
@@ -43,8 +51,11 @@ class TestCircuitParams:
     def test_rejects_omega0_whose_square_overflows(self):
         with pytest.raises(ValueError, match="omega0 must be at most"):
             CircuitParams.from_rates(1.0, 1e200)
-        with pytest.raises(ValueError, match="omega0 must be at most"):
-            CircuitParams.from_rlc(1.0, 1e-160, 1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lc in (1e-160, 1e-170, 1e-200):
+                with pytest.raises(ValueError, match="omega0 must be at most"):
+                    CircuitParams.from_rlc(1.0, lc, lc)
         edge = CircuitParams.from_rates(1.0, MAX_OMEGA0)
         assert np.all(np.isfinite(hamiltonian(edge)))
 

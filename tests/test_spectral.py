@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -8,13 +9,20 @@ from nhrlc import (
     ExceptionalPointError,
     NotExceptionalError,
     Phase,
+    build_report,
     eig2,
     eigensystem,
     ep_system,
     expand,
+    fermionize,
     hamiltonian,
+    ladder_check,
+    metric_pair,
     modes,
     pairing,
+    pf_identify,
+    positive_pair,
+    spectral,
 )
 from nhrlc.report import TOLERANCES
 
@@ -314,3 +322,100 @@ class TestModes:
             values = getattr(got, field)
             assert not np.any(np.signbit(values.real) & (values.real == 0)), field
             assert not np.any(np.signbit(values.imag) & (values.imag == 0)), field
+
+
+def _bits(system):
+    """Every field of a system as raw bytes, so signed zeros count."""
+    return {
+        f.name: np.asarray(getattr(system, f.name)).tobytes()
+        for f in dataclasses.fields(system) if f.name != "phase"
+    }
+
+
+def _vectors(system):
+    return (system.phi_plus, system.phi_minus, system.psi_plus, system.psi_minus)
+
+
+class TestReuse:
+    def test_same_params_object_gets_the_same_system(self):
+        p = CircuitParams.from_rates(0.3, 1.0)
+        assert eigensystem(p) is eigensystem(p)
+
+    def test_eigenvectors_are_read_only(self):
+        system = eigensystem(CircuitParams.from_rates(0.3, 1.0))
+        for vec in _vectors(system):
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("rates", [(0.3, 1.0), (2.0, 1.0)])
+    def test_ladder_basis_is_the_systems_own(self, rates, branch):
+        p = CircuitParams.from_rates(*rates)
+        own = _vectors(eigensystem(p))
+        pf = pf_identify(p, branch)
+        for vec in (pf.phi_minus, pf.phi_plus, pf.psi_minus, pf.psi_plus):
+            assert any(vec is v for v in own)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_equal_params_keep_their_own_zero_sign(self, first):
+        a = CircuitParams.from_rates(first, 1.3)
+        b = CircuitParams.from_rates(-first, 1.3)
+        assert a == b
+        for p in (a, b, a):
+            assert np.signbit(eigensystem(p).alpha) == np.signbit(p.alpha)
+
+    def test_interleaved_points_match_fresh_builds(self):
+        p = CircuitParams.from_rates(0.3, 1.0)
+        q = CircuitParams.from_rates(2.0, 1.0)
+        for params in (p, q, p):
+            assert _bits(eigensystem(params)) == _bits(spectral._build(params))
+
+    @pytest.mark.parametrize("rates,error", [
+        ((1.0, 1.0), ExceptionalPointError),
+        ((-2.0, 1.0), ValueError),
+        ((1.25, 1e-154), ValueError),
+    ])
+    def test_refusal_raises_again_and_keeps_the_last_system(self, rates, error):
+        good = CircuitParams.from_rates(0.3, 1.0)
+        system = eigensystem(good)
+        bad = CircuitParams.from_rates(*rates)
+        for _ in range(2):
+            with pytest.raises(error):
+                eigensystem(bad)
+        assert eigensystem(good) is system
+        assert _bits(system) == _bits(spectral._build(good))
+
+
+class TestOneBuildPerPoint:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The systems the private builder returns; a refusal builds none."""
+        built = []
+        build = spectral._build
+
+        def counted(params):
+            built.append(build(params))
+            return built[-1]
+
+        monkeypatch.setattr(spectral, "_build", counted)
+        return built
+
+    @pytest.mark.parametrize("rates", [(0.3, 1.0), (2.0, 1.0)])
+    def test_report(self, builds, rates):
+        build_report(CircuitParams.from_rates(*rates))
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("rates", [(0.3, 1.0), (2.0, 1.0)])
+    def test_plane_sequence(self, builds, rates):
+        p = CircuitParams.from_rates(*rates)
+        system = eigensystem(p)
+        metric_pair(system)
+        pfs = [pf_identify(p, branch) for branch in ("plus", "minus")]
+        for pf in pfs:
+            ladder_check(pf, system)
+        fermionize(pfs[0], positive_pair(system))
+        assert len(builds) == 1
+
+    def test_exceptional_point_builds_nothing(self, builds):
+        build_report(CircuitParams.from_rates(1.0, 1.0))
+        assert builds == []
