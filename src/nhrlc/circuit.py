@@ -10,10 +10,10 @@ generated by the manifestly non-Hermitian
     H = i * [[0, 1], [-omega0^2, -2*alpha]].
 
 The adjoint H^dagger generates the same equation with alpha -> -alpha, i.e.
-the gain circuit obtained by flipping the sign of the resistor. Depending on
-alpha vs omega0 the spectrum of H is purely imaginary (unbroken phase,
-overdamped), genuinely complex (broken phase, underdamped), or coalescent
-(exceptional point, critically damped).
+the gain circuit obtained by flipping the sign of the resistor. By |alpha|
+vs omega0 the spectrum of H is purely imaginary (unbroken phase, overdamped),
+complex (broken phase, underdamped) or coalescent (exceptional point,
+critically damped), on the loss (alpha > 0) and the gain (alpha < 0) side.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def hermitian_split(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def phase_of(alpha: float, omega0: float) -> Phase:
-    """Phase of the rates: UP (alpha > omega0), BP (alpha < omega0), EP band."""
-    if abs(alpha - omega0) <= EP_BAND_RTOL * omega0:
+    """Phase of the rates, loss or gain: UP (|alpha| > omega0), BP (|alpha| < omega0), EP band."""
+    if abs(abs(alpha) - omega0) <= EP_BAND_RTOL * omega0:
         return Phase.EXCEPTIONAL
-    if alpha > omega0:
+    if abs(alpha) > omega0:
         return Phase.UNBROKEN
     return Phase.BROKEN
 

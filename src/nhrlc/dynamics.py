@@ -2,7 +2,7 @@
 
 * closed form: the textbook damped-oscillation solution
   I(t) = e^{-alpha t} (I0 cos(wd t) - V0/(L wd) sin(wd t)), wd^2 = w0^2 - a^2,
-  valid in the broken (underdamped) phase;
+  valid in the broken (underdamped) phase |alpha| < omega0, loss or gain;
 * spectral: Phi(t) = b+ e^{-i lambda+ t} phi+ + b- e^{-i lambda- t} phi-,
   with the coefficients from the biorthogonal expansion of Phi(0); at the
   exceptional point this degenerates and the route falls back to the exact
@@ -91,10 +91,7 @@ def evolve_closed_form(params: CircuitParams, init: InitialData, times) -> Traje
     if classify(params) is not Phase.BROKEN:
         raise PhaseUnsupported("closed-form evolution covers the broken phase only")
     alpha, w0 = params.alpha, params.omega0
-    wd_sq = w0 ** 2 - alpha ** 2 if abs(alpha) < w0 else 0.0  # alpha ** 2 may overflow
-    if wd_sq <= 0:
-        raise PhaseUnsupported("closed-form evolution needs omega0^2 > alpha^2")
-    wd = np.sqrt(wd_sq)
+    wd = math.sqrt(w0 - alpha) * math.sqrt(w0 + alpha)  # w0**2 underflows below 1.5e-154
     ts = np.asarray(times, dtype=float)
     amp_cos = init.i0
     amp_sin = -init.v0 / (init.inductance * wd)

@@ -49,13 +49,16 @@ def exceeds(value: float, bound: float) -> bool:
 
 def route_agreement(trajectories: dict, rk_step: float) -> list:
     """(a, b, max error, its time, bound) for each pair of named routes on one
-    grid, in order; pairs with "rk" are bounded by rk_tolerance(rk_step)."""
+    grid, in order; pairs with "rk" are bounded by rk_tolerance(rk_step). Each bound
+    is scaled by max(1, largest |state entry| of the exact route a) unless that is
+    not finite, so a growing state has a relative bound; "rk" is last, never a."""
     out = []
     for name_a, name_b in itertools.combinations(trajectories, 2):
         err, at = dynamics.compare(trajectories[name_a], trajectories[name_b])
         rk_pair = "rk" in (name_a, name_b)
         bound = rk_tolerance(rk_step) if rk_pair else TOLERANCES["closed_vs_spectral"]
-        out.append((name_a, name_b, err, at, bound))
+        size = float(np.abs(trajectories[name_a].states).max(initial=1.0))
+        out.append((name_a, name_b, err, at, bound * (size if np.isfinite(size) else 1.0)))
     return out
 
 

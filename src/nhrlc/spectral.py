@@ -73,7 +73,7 @@ class BiorthogonalSystem:
 
 @dataclass(frozen=True)
 class EpSystem:
-    """Coalesced eigendata at the exceptional point alpha = omega0."""
+    """Coalesced eigendata at the exceptional point |alpha| = omega0."""
 
     alpha: float
     lambda_ep: complex
@@ -150,8 +150,6 @@ def _build(params: CircuitParams) -> BiorthogonalSystem:
             "eigensystem is ill-conditioned at the exceptional point; use ep_system"
         )
     alpha, w0 = params.alpha, params.omega0
-    if alpha <= -w0:
-        raise ValueError("alpha <= -omega0 lies outside the loss/gain phase taxonomy")
     m = Modes(*map(complex, modes(alpha, w0)))
 
     phi_p = m.n_phi_plus * np.array([1.0, -1j * m.lambda_plus], dtype=complex)
@@ -182,7 +180,7 @@ def _build(params: CircuitParams) -> BiorthogonalSystem:
 
 
 def ep_system(params: CircuitParams) -> EpSystem:
-    """Coalesced eigenvectors at alpha = omega0; they are self-orthogonal."""
+    """Coalesced, self-orthogonal eigenvectors at |alpha| = omega0, loss or gain."""
     if classify(params) is not Phase.EXCEPTIONAL:
         raise NotExceptionalError("parameters are away from the exceptional point")
     alpha = params.alpha

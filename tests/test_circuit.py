@@ -161,6 +161,14 @@ class TestClassify:
         assert classify(CircuitParams.from_rates(1.0 + 1e-10, 1.0)) is Phase.UNBROKEN
         assert classify(CircuitParams.from_rates(1.0 - 1e-10, 1.0)) is Phase.BROKEN
 
+    @pytest.mark.parametrize(
+        "ratio", [0.0, 0.3, 1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-10, 2.0, 1e6]
+    )
+    def test_gain_side_classifies_on_abs_alpha(self, ratio):
+        for omega0 in (1e-3, 1.0, 1e3):
+            assert phase_of(-ratio * omega0, omega0) is phase_of(ratio * omega0, omega0)
+        assert phase_of(-2.0, 1.0) is Phase.UNBROKEN and phase_of(-1.0, 1.0) is Phase.EXCEPTIONAL
+
     def test_classify_is_phase_of_the_rates(self):
         for alpha in (-2.0, -1.0, 0.0, 1.0 - 1e-10, 1.0 - 1e-13, 1.0, 1.0 + 1e-12, 3.0):
             params = CircuitParams.from_rates(alpha, 1.0)

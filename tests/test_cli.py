@@ -71,6 +71,12 @@ class TestAnalyze:
         assert report["input"]["resistance"] == -4e-07
         assert report["input"]["alpha"] == -2e-07
 
+    @pytest.mark.parametrize("alpha, phase", [("-2", "UP"), ("-1.5", "UP"), ("-1", "EP")])
+    def test_gain_side_beyond_the_broken_phase(self, capsys, alpha, phase):
+        code, out, err = run_cli(capsys, "analyze", "--alpha", alpha, "--omega0", "1")
+        assert code == 0 and err == ""
+        assert json.loads(out)["input"]["phase"] == phase
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -79,7 +85,6 @@ class TestAnalyze:
             ("analyze", "--alpha", "1", "--omega0", "1", "--R", "1", "--L", "1", "--C", "1"),
             ("analyze", "--R", "1", "--L", "1"),
             ("analyze", "--alpha", "1", "--omega0", "-2"),
-            ("analyze", "--alpha", "-2", "--omega0", "1"),  # outside loss/gain taxonomy
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
@@ -210,7 +215,7 @@ class TestSweep:
         checked = 0
         for r in self.rows(out):
             alpha = float(r["alpha"])
-            if r["phase"] == "EP" or alpha <= -omega0:
+            if r["phase"] == "EP":
                 continue
             sys_ = eigensystem(CircuitParams.from_rates(alpha, omega0))
             assert complex(float(r["re_lambda_plus"]), float(r["im_lambda_plus"])) == sys_.lambda_plus
@@ -231,6 +236,14 @@ class TestSweep:
         assert [r["alpha"] for r in rows] == ["-2.0", "-1.0", "0.0", "1.0", "2.0"]
         assert rows[3]["re_lambda_plus"] == rows[3]["re_lambda_minus"] == "0.0"
         assert "-0.0" not in out
+
+    def test_gain_rows_are_labelled_by_abs_alpha(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--omega0", "1", "--alpha-min", "-2", "--alpha-max", "2", "--steps", "9"
+        )
+        # alpha = -2, -1.5, ..., 2: the gain side mirrors the loss side
+        phases = [r["phase"] for r in self.rows(out)]
+        assert phases == ["UP", "UP", "EP", "BP", "BP", "BP", "EP", "UP", "UP"]
 
 
     @pytest.mark.parametrize(
@@ -388,14 +401,35 @@ class TestEvolve:
         assert "spectral vs rk: max error nan at t=1484 " in err
 
     def test_refused_route_exit_2_with_one_line(self, capsys):
-        # alpha <= -omega0 lies outside the phase taxonomy: eigensystem refuses it
+        # the closed form covers the broken phase only; (-2, 1) is gain UP
         code, out, err = run_cli(
             capsys, "evolve", "--alpha", "-2", "--omega0", "1", "--i0", "1",
-            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "spectral",
+            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "closed",
         )
         assert code == 2
         assert out == ""
         assert err.startswith("nhrlc evolve: error: ") and err.count("\n") == 1
+
+    def test_growing_gain_state_has_a_relative_route_bound(self, capsys):
+        # grows as e^{0.84 t}; its closed vs spectral error 1.8e-10 is about 4e-15 relative
+        code, _, err = run_cli(
+            capsys, "evolve", "--alpha", "-0.8389582571259493", "--omega0", "1.8063160530177547",
+            "--i0", "1.982508228877716", "--v0", "1.1702659309338346",
+            "--L", "0.12960625548034518", "--t-max", "10", "--dt", "0.001",
+        )
+        assert code == 0, err
+        assert "EXCEEDS" not in err
+
+    def test_closed_method_where_omega0_squared_underflows(self, capsys):
+        # BP; omega0^2 - alpha^2 underflows to 0, its factors do not
+        code, out, err = run_cli(
+            capsys, "evolve", "--alpha", "5e-171", "--omega0", "1e-170", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "closed",
+        )
+        assert code == 0 and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 11 and all(r["method"] == "closed-form" for r in rows)
+        assert float(rows[-1]["re_x1"]) == pytest.approx(1.0, rel=1e-12)
 
     def test_bad_grid_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -410,7 +444,7 @@ class TestEvolve:
         )
         assert code == 2
         assert out == ""
-        assert err == "nhrlc evolve: error: closed-form evolution needs omega0^2 > alpha^2\n"
+        assert err == "nhrlc evolve: error: closed-form evolution covers the broken phase only\n"
 
     def test_omega0_whose_square_overflows_exit_2_with_one_line(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -118,8 +118,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("alpha", [-2.0, -1e200])
     def test_gain_beyond_omega0_rejected_before_squaring(self, alpha):
-        # phase_of labels alpha < -omega0 BP; alpha ** 2 would overflow at -1e200
-        with pytest.raises(PhaseUnsupported, match="needs omega0"):
+        # alpha < -omega0 is gain UP; alpha ** 2 would overflow at -1e200
+        with pytest.raises(PhaseUnsupported, match="broken phase only"):
             evolve_closed_form(CircuitParams.from_rates(alpha, 1.0), REST, uniform_grid(1.0, 0.1))
 
 

@@ -4,16 +4,19 @@ import pytest
 from nhrlc import (
     CircuitParams,
     InitialData,
+    Trajectory,
     build_report,
     evolve_closed_form,
+    evolve_integrated,
     evolve_spectral,
     uniform_grid,
 )
 from nhrlc import pseudofermion, report
 from nhrlc.errors import ExistenceViolation
-from nhrlc.report import TOLERANCES, rk_tolerance, route_agreement
+from nhrlc.report import TOLERANCES, exceeds, rk_tolerance, route_agreement
 
 BP, UP, EP = (CircuitParams.from_rates(alpha, 1.0) for alpha in (0.5, 1.5, 1.0))
+REST = InitialData(i0=1.0, v0=0.0, inductance=1.0)
 
 
 class TestGates:
@@ -56,6 +59,66 @@ class TestGates:
             ("closed", "rk", rk_tolerance(1e-2)),
             ("spectral", "rk", rk_tolerance(1e-2)),
         ]
+
+    @pytest.mark.parametrize(
+        "ratios",
+        [-np.geomspace(1e-3, 0.999, 40), -np.geomspace(1.001, 10.0, 40)],
+        ids=["gain-BP", "gain-UP"],
+    )
+    def test_gain_side_grid_has_no_violation(self, ratios):
+        for ratio in ratios:
+            result = build_report(CircuitParams.from_rates(ratio, 1.0))
+            assert result.violations == [], ratio
+
+    def test_gain_exceptional_point_gives_an_ep_report(self):
+        result = build_report(CircuitParams.from_rates(-1.0, 1.0))
+        assert result.violations == []
+        assert result.report["input"]["phase"] == "EP" and result.report["metric"] is None
+        assert "expm_vs_rk" in result.report["dynamics"]
+
+    def test_route_bound_scales_with_the_exact_state(self):
+        # gain BP: the state grows as e^{0.8 t}, so an absolute bound would fail
+        params = CircuitParams.from_rates(-0.8, 1.0)
+        grid = uniform_grid(10.0, 0.01)
+        closed = evolve_closed_form(params, REST, grid)
+        size = np.abs(closed.states).max()
+        assert size > 1e3
+        rk = evolve_integrated(params, REST, grid)
+        routes = {"closed": closed, "spectral": evolve_spectral(params, REST, grid), "rk": rk}
+        pairs = [(a, b, bound) for a, b, _, _, bound in route_agreement(routes, 1e-3)]
+        assert pairs == [
+            ("closed", "spectral", TOLERANCES["closed_vs_spectral"] * size),
+            ("closed", "rk", rk_tolerance(1e-3) * size),
+            ("spectral", "rk", rk_tolerance(1e-3) * np.abs(routes["spectral"].states).max()),
+        ]
+        assert not any(exceeds(err, bound) for *_, err, _, bound in route_agreement(routes, 1e-3))
+
+    def test_rk_states_off_by_a_relative_1e_5_fail_at_a_growing_gain_point(self):
+        params = CircuitParams.from_rates(-0.8, 1.0)
+        grid = uniform_grid(10.0, 0.01)
+        rk = evolve_integrated(params, REST, grid)
+        routes = {
+            "closed": evolve_closed_form(params, REST, grid),
+            "spectral": evolve_spectral(params, REST, grid),
+            "rk": Trajectory(rk.times, rk.states * (1 + 1e-5), rk.method),
+        }
+        verdicts = [exceeds(err, bound) for *_, err, _, bound in route_agreement(routes, 1e-3)]
+        assert verdicts == [False, True, True]  # closed-spectral, closed-rk, spectral-rk
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_route_keeps_the_absolute_bound_and_fails(self, bad):
+        params = CircuitParams.from_rates(-0.8, 1.0)
+        grid = uniform_grid(1.0, 0.1)
+        closed = evolve_closed_form(params, REST, grid)
+        broken = closed.states.copy()
+        broken[3, 0] = bad
+        routes = {"closed": Trajectory(grid, broken, "closed-form"), "spectral": closed}
+        [(_, _, err, _, bound)] = route_agreement(routes, 1e-3)
+        assert bound == TOLERANCES["closed_vs_spectral"]
+        assert exceeds(err, bound)
+        [(_, _, err, _, bound)] = route_agreement({"closed": closed, "rk": routes["closed"]}, 1e-3)
+        assert bound == rk_tolerance(1e-3) * np.abs(closed.states).max()
+        assert exceeds(err, bound)
 
     def test_every_registry_gate_is_reached_with_its_bound_read_at_call_time(self, monkeypatch):
         for name in TOLERANCES:

@@ -155,9 +155,11 @@ class TestExceptionalSystem:
         with pytest.raises(NotExceptionalError):
             ep_system(BP_REF)
 
-    def test_gain_overdamped_rejected(self):
-        with pytest.raises(ValueError):
-            eigensystem(CircuitParams.from_rates(-2.0, 1.0))
+    def test_gain_overdamped_has_the_unbroken_pairing_pattern(self):
+        sys_ = eigensystem(CircuitParams.from_rates(-2.0, 1.0))
+        assert sys_.phase is Phase.UNBROKEN
+        assert abs(sys_.n_pm - 1) < 1e-14 and abs(sys_.n_mp - 1) < 1e-14
+        assert abs(sys_.n_pp) < 1e-14 and abs(sys_.n_mm) < 1e-14
 
 
 class TestExpand:
@@ -276,6 +278,14 @@ class TestModes:
         assert abs(got.lambda_plus - values[0]) < 1e-14 * abs(alpha)
         assert abs(got.lambda_minus - values[1]) < 1e-14 * abs(alpha)
 
+    @pytest.mark.parametrize("omega0", [1e-3, 1.0, 1e3])
+    def test_gain_eigenvalues_are_the_loss_adjoint_eigenvalues_bitwise(self, omega0):
+        # lambda_pm(-alpha) = mu_pm(alpha): the gain side needs no mirror path
+        alphas = np.geomspace(1e-6, 1e6, 241) * omega0
+        gain, loss = modes(-alphas, omega0), modes(alphas, omega0)
+        for lam, mu in ((gain.lambda_plus, loss.mu_plus), (gain.lambda_minus, loss.mu_minus)):
+            assert lam.tobytes() == mu.tobytes()
+
     @pytest.mark.parametrize("alpha", [1e8, 1e300])
     def test_no_cancellation_or_overflow(self, alpha):
         # alpha - sqrt(alpha^2 - 1) ~ 1/(2 alpha) loses every digit when
@@ -372,7 +382,6 @@ class TestReuse:
 
     @pytest.mark.parametrize("rates,error", [
         ((1.0, 1.0), ExceptionalPointError),
-        ((-2.0, 1.0), ValueError),
         ((1.25, 1e-154), ValueError),
     ])
     def test_refusal_raises_again_and_keeps_the_last_system(self, rates, error):
