@@ -52,13 +52,16 @@ def route_agreement(trajectories: dict, rk_step: float) -> list:
     grid, in order; pairs with "rk" are bounded by rk_tolerance(rk_step). Each bound
     is scaled by max(1, largest |state entry| of the exact route a) unless that is
     not finite, so a growing state has a relative bound; "rk" is last, never a."""
+    scale = {}  # each route that can be a, that is all but the last: its size, once
+    for name in list(trajectories)[:-1]:
+        size = float(np.abs(trajectories[name].states).max(initial=1.0))
+        scale[name] = size if np.isfinite(size) else 1.0
     out = []
     for name_a, name_b in itertools.combinations(trajectories, 2):
         err, at = dynamics.compare(trajectories[name_a], trajectories[name_b])
         rk_pair = "rk" in (name_a, name_b)
         bound = rk_tolerance(rk_step) if rk_pair else TOLERANCES["closed_vs_spectral"]
-        size = float(np.abs(trajectories[name_a].states).max(initial=1.0))
-        out.append((name_a, name_b, err, at, bound * (size if np.isfinite(size) else 1.0)))
+        out.append((name_a, name_b, err, at, bound * scale[name_a]))
     return out
 
 

@@ -368,15 +368,15 @@ class TestEvolve:
         assert "spectral vs rk" in err
 
     def test_nan_error_fails_the_run(self, capsys):
-        # omega0*dt = 4 makes the RK route overflow to a NaN error
+        # omega0*dt = 4 makes the RK route overflow to an inf error
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, err = run_cli(
                 capsys, "evolve", "--alpha", "0.1", "--omega0", "1", "--i0", "1",
                 "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
             )
         assert code == 1
-        assert "spectral vs rk: max error nan" in err
-        assert err.strip().splitlines()[-1] == "three-way max error: nan"
+        assert "spectral vs rk: max error inf" in err
+        assert err.strip().splitlines()[-1] == "three-way max error: inf"
 
     def test_single_route_nan_fails_the_run(self, capsys):
         # no agreement gate on one route: its non-finite states fail the run
@@ -398,7 +398,7 @@ class TestEvolve:
         assert code == 1
         assert not caught and "RuntimeWarning" not in err
         # the distances stay finite up to the first non-finite RK state
-        assert "spectral vs rk: max error nan at t=1484 " in err
+        assert "spectral vs rk: max error inf at t=1484 " in err
 
     def test_refused_route_exit_2_with_one_line(self, capsys):
         # the closed form covers the broken phase only; (-2, 1) is gain UP

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nhrlc.dynamics
@@ -349,6 +349,52 @@ class TestIntegrated:
         bound = n * np.finfo(float).eps * np.abs(loop).max() * (1.0 + w0 * grid[-1])
         assert np.abs(traj.states - loop[full.size - grid.size:]).max() <= bound
 
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["BP", "UP", "EP", "near-EP-loss", "near-EP-gain", "gain"]),
+        st.floats(min_value=0.05, max_value=0.999),
+        st.floats(min_value=-9.0, max_value=-3.0),
+        st.floats(min_value=0.5, max_value=2.0),
+        st.integers(min_value=2, max_value=10_000),
+        st.integers(min_value=1, max_value=4000),
+        st.floats(min_value=1e-4, max_value=0.3),
+        st.booleans(),
+    )
+    @example("gain", 0.9, -3.0, 1.8, 10_000, 1, 1e-3, False)
+    @example("near-EP-gain", 0.5, -9.0, 1.0, 2, 4000, 1e-3, True)
+    def test_state_doubling_matches_stepwise_on_uniform_grids(
+        self, kind, ratio, log_delta, w0, n, m, w0_substep, late
+    ):
+        # n from 2 to 10^4 intervals of m from 1 to 4000 substeps, at most 10^4
+        # substeps in all to bound the loop's time; a late grid is uniform once
+        # 0 is prefixed
+        m = min(m, 10_000 // n)
+        delta = math.copysign(10.0**log_delta, ratio - 0.5)
+        alpha = {"BP": ratio, "UP": 1.0 + 2.0 * ratio, "EP": 1.0 + (ratio - 0.5) * 1e-12,
+                 "near-EP-loss": 1.0 + delta, "near-EP-gain": -1.0 - delta, "gain": -ratio}[kind]
+        params = CircuitParams.from_rates(alpha * w0, w0)
+        t_end = min(30.0, n * m * w0_substep) / w0
+        full = np.linspace(0.0, t_end, n + 1)
+        step = t_end / n / (m - 0.5)  # every rounded interval takes m substeps
+        grid = full[1:] if late else full
+        traj = evolve_integrated(params, REST, grid, step=step)
+        loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), full, step)
+        bound = n * m * np.finfo(float).eps * np.abs(loop).max() * (1.0 + w0 * t_end)
+        assert np.abs(traj.states - loop[full.size - grid.size:]).max() <= bound
+
+    def test_evolve_grid_makes_one_integrator_call(self, monkeypatch):
+        # linspace rounding gives the grid's intervals many distinct lengths, 624
+        # of them two substeps by the stepwise rule: the uniform branch takes one
+        calls = []
+
+        def counted(h, state0, times, step):
+            calls.append(np.shape(h))
+            return integrate_rk4(h, state0, times, step)
+
+        monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", counted)
+        evolve_integrated(GAIN_REF, REST, uniform_grid(10.0, 1e-3), step=1e-3)
+        assert calls == [(1, 4, 4)]
+
     @pytest.mark.parametrize("grid", [uniform_grid(10.0, 0.01), np.linspace(0.35, 4.0, 301)],
                              ids=["report-default", "late-start"])
     @pytest.mark.parametrize("params", [BP_REF, UP_REF, EP_REF, GAIN_REF], ids=["BP", "UP", "EP", "gain"])
@@ -553,15 +599,23 @@ class TestCsv:
             assert buf.getvalue() == reference_trajectory_csv(traj)
 
     def test_bytes_equal_the_row_writer_on_overflow(self):
-        # omega0*dt = 4 is past RK4's stability limit: inf and NaN states
-        traj = evolve_integrated(
+        # omega0*dt = 4 is past RK4's stability limit: the RK states overflow
+        # to inf; e^{99.8 t} overflows the spectral phases to inf and NaN
+        rk = evolve_integrated(
             CircuitParams.from_rates(0.1, 1.0), REST, uniform_grid(2000.0, 4.0), step=4.0
         )
-        assert not np.all(np.isfinite(traj.states)) and np.any(np.isnan(traj.states))
-        buf = io.StringIO()
-        write_csv(traj, buf)
-        assert buf.getvalue() == reference_trajectory_csv(traj)
-        assert ",inf," in buf.getvalue() and ",nan," in buf.getvalue()
+        assert np.isinf(rk.states.real).sum() == 260 and not np.any(np.isnan(rk.states))
+        spectral = evolve_spectral(
+            CircuitParams.from_rates(-99.83622419419237, 423.396504510819), REST,
+            uniform_grid(10.0, 0.01),
+        )
+        assert np.any(np.isinf(spectral.states)) and np.any(np.isnan(spectral.states))
+        for traj in (rk, spectral):
+            buf = io.StringIO()
+            write_csv(traj, buf)
+            assert buf.getvalue() == reference_trajectory_csv(traj)
+            assert ",inf," in buf.getvalue()
+        assert ",nan," in buf.getvalue()
 
     def test_negative_zero_survives(self):
         states = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)]] * 2)
