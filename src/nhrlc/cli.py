@@ -11,7 +11,7 @@ Four subcommands, all emitting machine-readable output on stdout:
 
 CSV fields are float ``repr`` strings and a plain tag, so none needs
 quoting; the rows are formatted from Python-float columns and written
-``dynamics.SCAN_BLOCK`` rows at a time.
+``dynamics.CSV_BLOCK`` rows at a time.
 
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
@@ -123,7 +123,7 @@ def _cmd_sweep(parser: _Parser, args) -> int:
         branches = modes(alphas, args.omega0)
     if not np.isfinite([branches.lambda_plus, branches.lambda_minus]).all():
         parser.error("an eigenvalue is not finite between --alpha-min and --alpha-max")
-    omega0, block = args.omega0, dynamics.SCAN_BLOCK
+    omega0, block = args.omega0, dynamics.CSV_BLOCK
     sys.stdout.write("alpha,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,phase\n")
     for lo in range(0, alphas.size, block):
         lam_p = branches.lambda_plus[lo:lo + block]

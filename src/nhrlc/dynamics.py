@@ -11,13 +11,10 @@
   deterministic and reproducible, used as the independent cross-check.
   The generator is constant, so RK4 over one grid interval is a fixed real
   2x2 propagator M, kept as D = M - I so that the rounding of its diagonal
-  near 1 does not add up. RK4 is exactly invariant under (A, tau) ->
-  (c*A, tau/c), so all lengths that share a substep count m take one substep
-  together, as one stack of scaled generators, in one integrate_rk4 call,
-  and each D is raised to the m-th power. A uniform grid from 0 has one M,
-  and its states double: Phi_{s+j} = Phi_j + (M^s - I) Phi_j for j < s, in
-  ceil(log2(n + 1)) passes of O(n) total work. Other grids form every prefix
-  product M_k...M_1 by Hillis-Steele doubling and apply it to Phi(0).
+  near 1 does not add up; each distinct interval length gets its D from one
+  one-substep integrate_rk4 call, raised to the m-th power. The states of a
+  uniform grid from 0 double: Phi_{s+j} = Phi_j + (M^s - I) Phi_j for j < s,
+  in ceil(log2(n + 1)) passes; other grids step Phi_{k+1} = Phi_k + D_k Phi_k.
 
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
@@ -134,11 +131,9 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
 
     Each grid interval is covered by equal substeps no longer than ``step``;
     the grid must be increasing and start at the time of ``state0``. The
-    state may be a 2-vector or a 2xk matrix (k states stepped together).
-    ``h`` may also be a stack of generators, shape (g, 2, 2), stepped
-    together on one grid; the state is then a matching (g, 2, k) stack, for
-    example the identity broadcast to (g, 2, 2) for g propagators. An
-    augmented (g, 4, 4) stack with a (g, 4, k) state is stepped the same way.
+    state may be a 2-vector or a 2xk matrix (k states stepped together), and
+    ``h`` a stack of generators, shape (g, 2, 2), with a matching (g, 2, k)
+    state; a 4x4 generator, such as an augmented one, steps 4-vectors alike.
     """
     if not step > 0:
         raise ValueError("step must be positive")
@@ -166,11 +161,11 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
 
 # Rows per block of the CSV writers: bounds their working memory on long
 # grids.
-SCAN_BLOCK = 1024
+CSV_BLOCK = 1024
 
 
 def _power_minus_one(d, m: int) -> np.ndarray:
-    """(I + d)^m - I for a stack d of 2x2 matrices, by repeated squaring on d."""
+    """(I + d)^m - I for a 2x2 matrix d, by repeated squaring on d."""
     out = np.zeros_like(d)
     while True:
         if m & 1:
@@ -181,16 +176,20 @@ def _power_minus_one(d, m: int) -> np.ndarray:
         d = d + d + d @ d
 
 
-def _interval_minus_one(h, group: list, m: int) -> np.ndarray:
-    """D = M - I of the RK4 propagator of each length in group, all with m
-    substeps: one integrate_rk4 call over one substep group[0]/m on the scaled
-    generators augmented to [[H, H], [0, 0]], which takes (0, I) to (D, I), so
-    D is never rounded at 1; then its m-th power in the same form."""
-    substep = group[0] / m
-    aug = np.zeros((len(group), 4, 4), dtype=complex)
-    aug[:, :2, :2] = aug[:, :2, 2:] = h * (np.array(group) / group[0])[:, None, None]
-    basis = np.broadcast_to(np.eye(4, 2, -2), (len(group), 4, 2))
-    return _power_minus_one(integrate_rk4(aug, basis, [0.0, substep], substep)[1][:, :2].real, m)
+def _interval_minus_one(h, length: float, step: float) -> np.ndarray:
+    """D = M - I of RK4 over one interval in m = ceil(length/step) substeps:
+    one integrate_rk4 call over one substep on the generator augmented to
+    [[H, H], [0, 0]], which takes (0, I) to (D, I), so D is never rounded at
+    1; then its m-th power in the same form."""
+    ratio = length / step
+    if not math.isfinite(ratio):
+        raise ValueError("interval / step must be finite")
+    m = max(1, math.ceil(ratio - 1e-12))
+    substep = length / m
+    aug = np.zeros((4, 4), dtype=complex)
+    aug[:2, :2] = aug[:2, 2:] = h
+    basis = np.eye(4, 2, -2)
+    return _power_minus_one(integrate_rk4(aug, basis, [0.0, substep], substep)[1][:2].real, m)
 
 
 def evolve_integrated(
@@ -199,8 +198,9 @@ def evolve_integrated(
     """RK4 evolution of the circuit state; global error O(step^4).
 
     Same substeps as :func:`integrate_rk4` on the grid (prefixed by t = 0
-    when it starts later), except that a grid bitwise np.linspace(0, t_end,
-    n + 1), as from :func:`uniform_grid`, takes one length t_end/n; its
+    when it starts later), one D = M - I per distinct length, stepped as
+    x[k + 1] = x[k] + D_k x[k]; but a grid bitwise np.linspace(0, t_end,
+    n + 1), as from :func:`uniform_grid`, takes one length t_end/n and its
     states double as x[s + j] = x[j] + D_s x[j], j < s, where D_s = M^s - I
     and D_2s = 2 D_s + D_s D_s. Over 10^4 intervals the states stay within
     1.0e-14 relative of the stepwise loop at the gain point (-0.3, 1) and
@@ -217,14 +217,12 @@ def evolve_integrated(
         raise ValueError("time grid must be strictly increasing")
     n = spans.size
     h = hamiltonian(params)
-    x0 = initial_state(init, params).real
     x = np.empty((2, full.size))  # -iH and Phi(0) are real: so are the states
-    x[:, :1] = x0[:, None]
+    x[:, :1] = initial_state(init, params).real[:, None]
     # a huge generator overflows its propagators; the gates fail the inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
         if n > 1 and np.array_equal(full, np.linspace(0.0, full[-1], n + 1)):
-            length = full[-1] / n  # linspace rounding aside, one propagator M
-            d = _interval_minus_one(h, [length], max(1, math.ceil(length / step - 1e-12)))[0]
+            d = _interval_minus_one(h, full[-1] / n, step)  # linspace rounding aside, one M
             s = 1
             while s <= n:  # d = M^s - I
                 w = min(s, n + 1 - s)
@@ -232,20 +230,11 @@ def evolve_integrated(
                 d = d + d + d.dot(d)
                 s *= 2
         else:
-            lengths = np.unique(spans)  # ascending, and so are the substep counts
-            groups: dict[int, list[float]] = {}
-            for length in lengths.tolist():
-                groups.setdefault(max(1, math.ceil(length / step - 1e-12)), []).append(length)
-            props = [np.empty((0, 2, 2))]  # then D = M - I per distinct length, ascending
-            props += [_interval_minus_one(h, g, m) for m, g in groups.items()]
-            # q[:, :, k]: interval k's D, then by doubling that of the prefix product up to k
-            q = np.concatenate(props).transpose(1, 2, 0)[..., np.searchsorted(lengths, spans)]
-            shift = 1
-            while shift < n:  # (I + A)(I + B) - I = A + B + AB
-                late, early = q[..., shift:], q[..., :n - shift]
-                q[..., shift:] = late + early + late[:, :1] * early[0] + late[:, 1:] * early[1]
-                shift *= 2
-            x[:, 1:] = x0[:, None] + q[:, 0] * x0[0] + q[:, 1] * x0[1]
+            props: dict[float, np.ndarray] = {}  # D = M - I per distinct length
+            for k, length in enumerate(spans.tolist()):
+                if length not in props:
+                    props[length] = _interval_minus_one(h, length, step)
+                x[:, k + 1] = x[:, k] + props[length].dot(x[:, k])
     states = x.T[full.size - ts.size:].astype(complex, order="C")
     return Trajectory(times=ts, states=states, method="integrated")
 
@@ -269,17 +258,17 @@ def write_csv(traj: Trajectory, fh) -> None:
 
     Each value is its float ``repr`` and the last field the method tag, a
     plain word, so no field needs quoting. The rows are formatted and
-    written SCAN_BLOCK at a time, from the columns as Python floats.
+    written CSV_BLOCK at a time, from the columns as Python floats.
     """
     times = np.asarray(traj.times, dtype=float)
     states = np.asarray(traj.states, dtype=complex)
     tail = f",{traj.method}\n"
     fh.write("t,re_x1,im_x1,re_x2,im_x2,method\n")
-    for lo in range(0, times.size, SCAN_BLOCK):
-        x1 = states[lo:lo + SCAN_BLOCK, 0]
-        x2 = states[lo:lo + SCAN_BLOCK, 1]
+    for lo in range(0, times.size, CSV_BLOCK):
+        x1 = states[lo:lo + CSV_BLOCK, 0]
+        x2 = states[lo:lo + CSV_BLOCK, 1]
         rows = zip(
-            times[lo:lo + SCAN_BLOCK].tolist(),
+            times[lo:lo + CSV_BLOCK].tolist(),
             x1.real.tolist(), x1.imag.tolist(), x2.real.tolist(), x2.imag.tolist(),
         )
         fh.write("".join(f"{t!r},{a!r},{b!r},{c!r},{d!r}{tail}" for t, a, b, c, d in rows))

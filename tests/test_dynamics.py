@@ -250,7 +250,7 @@ class TestIntegrated:
         err = np.abs(traj.states - loop).max(initial=0.0)
         assert err <= 1e-12 * np.abs(loop).max(initial=0.0)
 
-    def test_one_integrator_call_per_substep_count(self, monkeypatch):
+    def test_one_integrator_call_per_distinct_length(self, monkeypatch):
         calls = []
 
         def counted(h, state0, times, step):
@@ -260,17 +260,16 @@ class TestIntegrated:
         monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", counted)
         # a uniform grid has one length: one (augmented 4x4) generator over one substep
         evolve_integrated(BP_REF, REST, uniform_grid(10.0, 0.01), step=1e-3)
-        assert calls == [((1, 4, 4), [0.0, 0.001])]
+        assert calls == [((4, 4), [0.0, 0.001])]
         calls.clear()
         grid = np.cumsum(np.linspace(0.002, 0.03, 150))
         evolve_integrated(BP_REF, REST, grid, step=1e-3)
-        spans = np.diff(np.concatenate([[0.0], grid])).tolist()
-        counts = {max(1, math.ceil(span / 1e-3 - 1e-12)) for span in spans}
-        assert len(calls) == len(counts)
-        assert sum(shape[0] for shape, _ in calls) == len(set(spans))
+        spans = set(np.diff(np.concatenate([[0.0], grid])).tolist())
+        assert len(calls) == len(spans) > 1
+        assert all(shape == (4, 4) for shape, _ in calls)
 
     @pytest.mark.parametrize("params", [BP_REF, UP_REF, EP_REF, GAIN_REF], ids=["BP", "UP", "EP", "gain"])
-    def test_grid_one_ulp_off_uniform_takes_the_scan(self, params, monkeypatch):
+    def test_grid_one_ulp_off_uniform_takes_the_recurrence(self, params, monkeypatch):
         shapes = []
 
         def recorded(h, state0, times, step):
@@ -281,7 +280,8 @@ class TestIntegrated:
         grid[500] = np.nextafter(grid[500], np.inf)
         monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", recorded)
         traj = evolve_integrated(params, REST, grid, step=1e-3)
-        assert sum(shape[0] for shape in shapes) > 1  # one generator per distinct length
+        assert shapes == [(4, 4)] * len(set(np.diff(grid).tolist()))  # one per distinct length
+        assert len(shapes) > 1
         loop = integrate_rk4(hamiltonian(params), initial_state(REST, params), grid, 1e-3)
         assert np.abs(traj.states - loop).max() <= 1e-12 * np.abs(loop).max()
 
@@ -295,18 +295,28 @@ class TestIntegrated:
         loop = integrate_rk4(hamiltonian(GAIN_REF), initial_state(REST, GAIN_REF), grid, 1e-3)
         assert np.abs(traj.states - loop).max() <= 1e-13 * np.abs(loop).max()
 
-    def test_each_integrator_call_covers_one_substep(self, monkeypatch):
-        grids = []
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            uniform_grid(10.0, 0.01),
+            np.cumsum(np.linspace(0.002, 0.03, 150)),
+            np.array([1e6]),  # 10^9 substeps: a stepwise fallback would not end
+        ],
+        ids=["uniform", "non-uniform", "late-point"],
+    )
+    def test_each_integrator_call_covers_one_substep(self, grid, monkeypatch):
+        calls = []
 
         def recorded(h, state0, times, step):
-            grids.append((list(times), step))
+            start, end = times  # fails at once, before any stepping
+            if not (start == 0.0 and end <= step):
+                raise AssertionError(f"integrate_rk4 over {list(times)} at step {step}")
+            calls.append(end)
             return integrate_rk4(h, state0, times, step)
 
         monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", recorded)
-        evolve_integrated(BP_REF, REST, uniform_grid(10.0, 0.01), step=1e-3)
-        assert grids
-        for (start, end), step in grids:
-            assert start == 0.0 and end <= step
+        evolve_integrated(BP_REF, REST, grid, step=1e-3)
+        assert calls
 
     @pytest.mark.parametrize(
         "grid, params",
@@ -393,7 +403,7 @@ class TestIntegrated:
 
         monkeypatch.setattr(nhrlc.dynamics, "integrate_rk4", counted)
         evolve_integrated(GAIN_REF, REST, uniform_grid(10.0, 1e-3), step=1e-3)
-        assert calls == [(1, 4, 4)]
+        assert calls == [(4, 4)]
 
     @pytest.mark.parametrize("grid", [uniform_grid(10.0, 0.01), np.linspace(0.35, 4.0, 301)],
                              ids=["report-default", "late-start"])
@@ -412,8 +422,11 @@ class TestIntegrated:
             {"times": np.array([0.0, 1.0, np.inf])},
             {"times": np.array([0.0, 1.0, 1.0])},
             {"times": np.array([-1.0, 1.0])},
+            {"times": np.array([0.0, 1.0]), "step": 1e-310},  # 1/step overflows
+            {"step": 1e-320},  # on the uniform grid too
         ],
-        ids=["nan-step", "zero-step", "nan-time", "inf-time", "repeated-time", "negative-start"],
+        ids=["nan-step", "zero-step", "nan-time", "inf-time", "repeated-time", "negative-start",
+             "overflowing-substeps", "overflowing-uniform-substeps"],
     )
     def test_rejects_bad_step_or_grid(self, kwargs):
         args = {"times": uniform_grid(1.0, 0.1), "step": 1e-3} | kwargs
@@ -627,7 +640,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
     def test_block_edges(self, n):
-        assert nhrlc.dynamics.SCAN_BLOCK == 1024
+        assert nhrlc.dynamics.CSV_BLOCK == 1024
         grid = np.linspace(0.0, 1e-3 * max(n - 1, 0), n)
         traj = evolve_spectral(GAIN_REF, REST, grid)
         buf = io.StringIO()

@@ -33,8 +33,8 @@ class TestGates:
         assert flagged == {"closed_vs_rk", "spectral_vs_rk"}
 
     @pytest.mark.parametrize(
-        "kwargs", [{"t_max": np.inf}, {"dt": np.nan}, {"rk_step": np.nan}],
-        ids=["inf-t_max", "nan-dt", "nan-rk_step"],
+        "kwargs", [{"t_max": np.inf}, {"dt": np.nan}, {"rk_step": np.nan}, {"rk_step": 1e-320}],
+        ids=["inf-t_max", "nan-dt", "nan-rk_step", "overflowing-rk_step"],
     )
     def test_non_finite_time_inputs_rejected(self, kwargs):
         with pytest.raises(ValueError):
