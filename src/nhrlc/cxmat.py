@@ -46,18 +46,6 @@ def as_cvec2(v) -> np.ndarray:
     return out
 
 
-def rescale(*mats) -> tuple[list[np.ndarray], float]:
-    """The matrices divided by one power of two, and 1 + max|entry| in its units.
-
-    The scale 1 + max|entry| is found from halved entries, so no modulus
-    overflows. Both steps are exact on normal floats; the scaled entries
-    are below 4 in modulus, so their products and determinants stay finite.
-    """
-    half = 0.5 + max(float(np.abs(m / 2.0).max()) for m in mats)
-    unit = math.ldexp(0.5, math.frexp(half)[1])
-    return [m / unit for m in mats], half / unit * 2.0
-
-
 def outer(f, g) -> np.ndarray:
     """Rank-one map |f><g|: (|f><g|) h = <g, h> f."""
     return np.asarray(f, dtype=complex)[:, None] * np.conj(np.asarray(g, dtype=complex))
@@ -152,9 +140,7 @@ def sqrt_pos_hermitian(m) -> np.ndarray:
     h = (a + a.conj().T) / 2.0
     tr = float(h[0, 0].real + h[1, 1].real)
     det = float((h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    lam_min = (tr - np.sqrt(disc)) / 2.0
-    if lam_min <= 0.0:
+    if not (tr > 0.0 and det > 0.0):  # both eigenvalues positive; no difference cancels
         raise NotPositiveHermitian("matrix has a non-positive eigenvalue")
     s = np.sqrt(det)
     return (h + s * np.eye(2)) / np.sqrt(tr + 2.0 * s)
@@ -165,8 +151,8 @@ def trace_det(m) -> tuple[complex, complex]:
     the constant coefficient of :func:`char_poly_coeffs`."""
     a = np.asarray(m, dtype=complex)
     if a.shape == (2, 2):
-        a = as_cmat(a, 2)
-        return complex(a[0, 0] + a[1, 1]), complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        w, x, y, z = as_cmat(a, 2).ravel().tolist()  # numpy's products, bitwise, on Python scalars
+        return w + z, w * z - x * y
     if a.shape == (4, 4):
         a = as_cmat(a, 4)
         return complex(np.trace(a)), complex(char_poly_coeffs(a)[-1])

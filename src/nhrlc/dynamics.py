@@ -126,6 +126,14 @@ def evolve_spectral(params: CircuitParams, init: InitialData, times) -> Trajecto
     return Trajectory(times=ts, states=states, method="spectral")
 
 
+def _substeps(span: float, step: float) -> int:
+    """ceil(span/step), less a 1e-12 allowance for rounding, and at least 1."""
+    ratio = span / step
+    if not math.isfinite(ratio):
+        raise ValueError("interval / step must be finite")
+    return max(1, math.ceil(ratio - 1e-12))
+
+
 def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     """Fixed-step RK4 states of i*Phi' = H*Phi on the given grid.
 
@@ -145,9 +153,8 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     out = np.empty((ts.size,) + state.shape, dtype=complex)
     if ts.size:
         out[0] = state
-    for k in range(1, ts.size):
-        span = ts[k] - ts[k - 1]
-        substeps = max(1, int(np.ceil(span / step - 1e-12)))
+    for k, span in enumerate(np.diff(ts).tolist(), 1):
+        substeps = _substeps(span, step)
         h_sub = span / substeps
         for _ in range(substeps):
             k1 = gen @ state
@@ -181,10 +188,7 @@ def _interval_minus_one(h, length: float, step: float) -> np.ndarray:
     one integrate_rk4 call over one substep on the generator augmented to
     [[H, H], [0, 0]], which takes (0, I) to (D, I), so D is never rounded at
     1; then its m-th power in the same form."""
-    ratio = length / step
-    if not math.isfinite(ratio):
-        raise ValueError("interval / step must be finite")
-    m = max(1, math.ceil(ratio - 1e-12))
+    m = _substeps(length, step)
     substep = length / m
     aug = np.zeros((4, 4), dtype=complex)
     aug[:2, :2] = aug[:2, 2:] = h

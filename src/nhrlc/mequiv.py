@@ -20,11 +20,13 @@ similarity transform of L produces the same quartic.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cxmat import as_cmat, char_poly_coeffs, rescale, trace_det
+from .cxmat import as_cmat, char_poly_coeffs, trace_det
 
 EQUIVALENCE_RTOL = 1e-12
 
@@ -65,25 +67,56 @@ def ode_coefficients_2(h) -> OdeCoefficients:
     return OdeCoefficients(order=2, coefficients=(1.0 + 0.0j, 1j * tr, -det))
 
 
-def _compare(h_a, h_b):
-    """The one invariant comparison, for :func:`m_equivalent` and :func:`is_similar`.
+def _ldexp(v: complex, e: int) -> complex:
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
 
-    Both matrices are first brought to a common power-of-two scale by
-    :func:`~nhrlc.cxmat.rescale`, so every determinant and scale**2 is finite.
+
+def _coincidence(h_a, h_b):
+    """The one decision behind m-equivalence, similarity and intertwiners.
+
+    Each matrix M becomes D^-1 M D, D = diag(1, 2^e), |m01| 2^e ~ |m10| 2^-e,
+    and both are divided by one power of two (exact on normal floats). With
+    eps = ``EQUIVALENCE_RTOL`` * s, s the largest entry modulus, traces agree
+    within eps, determinants within eps*s, and shared roots lie within eps;
+    dim{X : A X = X B} sums min(p, q) over shared roots with Jordan blocks p,
+    q (Gantmacher, vol. 1, ch. VIII). Returns (m_equivalent, similar, dim,
+    the balanced pair, the exponents e).
     """
-    (a, b), scale = rescale(as_cmat(h_a, 2), as_cmat(h_b, 2))
-    tr_a, det_a = trace_det(a)
-    tr_b, det_b = trace_det(b)
-    equal = bool(
-        abs(tr_a - tr_b) < EQUIVALENCE_RTOL * scale
-        and abs(det_a - det_b) < EQUIVALENCE_RTOL * scale ** 2
-    )
-    return equal, scale, (a, tr_a, det_a), (b, tr_b, det_b)
+    rows, shifts = [], []
+    for h in (h_a, h_b):
+        w, x, y, z = as_cmat(h, 2).ravel().tolist()
+        ex, ey = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (x, y))
+        e = (ey - ex) // 2 if x and y else 0
+        rows += (w, _ldexp(x, e), _ldexp(y, -e), z)
+        shifts.append(e)
+    parts = np.array(rows).view(float)  # the components: no modulus, so none overflows
+    pair = np.ldexp(parts, 1 - math.frexp(np.abs(parts).max())[1]).view(complex).reshape(2, 2, 2)
+    rows = pair.ravel().tolist()
+    s = max(map(abs, rows))
+    eps = EQUIVALENCE_RTOL * s
+    kinds = []  # trace, determinant, roots (tr/2 alone if double), scalar flag
+    for m, (w, x, y, z) in zip(pair, (rows[:4], rows[4:])):
+        tr, det = trace_det(m)
+        disc = tr * tr - 4.0 * det
+        sq = cmath.sqrt(disc)  # the larger root q with no cancellation, the other det/q
+        q = (tr + sq if (tr.conjugate() * sq).real >= 0 else tr - sq) / 2.0
+        roots = (tr / 2.0,) if abs(disc) <= eps * s else (q, det / q)
+        kinds.append((tr, det, roots, max(abs(x), abs(y), abs(w - z) / 2.0) <= eps))
+    (tr_a, det_a, roots_a, scalar_a), (tr_b, det_b, roots_b, scalar_b) = kinds
+    equal = abs(tr_a - tr_b) <= eps and abs(det_a - det_b) <= eps * s
+    if equal:  # Jordan blocks (1, 1) of a scalar, (2) at a double root, (1) at a simple one
+        dim = 4 if scalar_a and scalar_b else 2
+    elif any(abs(p - q) <= eps for p in roots_a for q in roots_b):
+        dim = 2 if scalar_a or scalar_b else 1
+    else:
+        dim = 0
+    # a scalar matrix has a double root: similar needs equal scalar flags only there
+    return equal, equal and scalar_a == scalar_b, dim, pair, shifts
 
 
 def m_equivalent(h_a, h_b) -> bool:
-    """Equal traces and determinants, relative to the entry magnitude."""
-    return _compare(h_a, h_b)[0]
+    """Equal traces and determinants, relative to the balanced entry scale."""
+    return _coincidence(h_a, h_b)[0]
 
 
 def is_similar(h_a, h_b) -> bool:
@@ -93,17 +126,7 @@ def is_similar(h_a, h_b) -> bool:
     spectrum is a double point, where both matrices must additionally be
     scalar or both non-scalar (degree of the minimal polynomial).
     """
-    equal, scale, (a, tr_a, det_a), (b, tr_b, _) = _compare(h_a, h_b)
-    if not equal:
-        return False
-
-    def _scalar(m, tr) -> bool:
-        return bool(np.abs(m - (tr / 2.0) * np.eye(2)).max() <= EQUIVALENCE_RTOL * scale)
-
-    disc = tr_a * tr_a - 4.0 * det_a
-    if abs(disc) > EQUIVALENCE_RTOL * scale ** 2:
-        return True
-    return _scalar(a, tr_a) == _scalar(b, tr_b)
+    return _coincidence(h_a, h_b)[1]
 
 
 def liouville(alpha1, alpha2, alpha3, beta1, beta2, beta3) -> LiouvilleSystem:
@@ -145,7 +168,8 @@ def quartic_coefficients(system: LiouvilleSystem) -> OdeCoefficients:
 
 
 def lemma_hypothesis(system: LiouvilleSystem) -> bool:
-    """True when both mixed coefficient combinations vanish.
+    """True when both mixed coefficient combinations vanish, each to within
+    ``EQUIVALENCE_RTOL`` times the sum of its terms' moduli.
 
     Then the quartic for x1 reduces to x'''' - tr(L) x''' + det(L) x = 0,
     whose surviving coefficients are similarity invariants, so L and any
@@ -153,7 +177,9 @@ def lemma_hypothesis(system: LiouvilleSystem) -> bool:
     :func:`lemma_similarity_residual` for the numerical verification).
     """
     c2, c1 = quartic_coefficients(system).coefficients[2:4]
-    return bool(abs(c2) <= 1e-12 and abs(c1) <= 1e-12)
+    a1, a2, b1, b2 = system.alpha1, system.alpha2, system.beta1, system.beta2
+    size2, size1 = abs(a2) + abs(b2) + abs(a1 * b1), abs(a1 * b2) + abs(a2 * b1)
+    return bool(abs(c2) <= EQUIVALENCE_RTOL * size2 and abs(c1) <= EQUIVALENCE_RTOL * size1)
 
 
 def lemma_similarity_residual(system: LiouvilleSystem, s_matrix) -> float:

@@ -25,12 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Phase
-from .cxmat import as_cmat, as_cvec2, operator_norm, outer, rescale
+from .cxmat import as_cmat, as_cvec2, operator_norm, outer
+from .mequiv import _coincidence
 from .spectral import BiorthogonalSystem, pairing
-
-# Singular values below this fraction of the largest count as zero when
-# extracting intertwiner nullspaces.
-NULLSPACE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,17 +124,17 @@ def verify_intertwining(h, h_similar, pair: MetricPair) -> IntertwinerReport:
 def solve_intertwiners(a, b) -> list[np.ndarray]:
     """Basis of {X : A X = X B}, via the flattened 4x4 homogeneous system.
 
-    The map X -> A X - X B is vectorized row-major as
-    kron(A, I) - kron(I, B^T); its nullspace is read off an SVD, counting
-    singular values below ``NULLSPACE_RTOL`` times the largest as zero. The
-    reversed relation X A = B X is the same problem with swapped arguments:
-    ``solve_intertwiners(B, A)``. Both matrices are first divided by one
-    power of two (:func:`~nhrlc.cxmat.rescale`), so the SVD does not overflow.
+    Its dimension is the coincidence rule's (:mod:`nhrlc.mequiv`). On the
+    balanced pair A_b = D_A^-1 A D_A, B_b = D_B^-1 B D_B, Y -> A_b Y - Y B_b
+    is kron(A_b, I) - kron(I, B_b^T) row-major; its ``dim`` smallest right
+    singular vectors Y map back as D_A Y D_B^-1, over one power of two. The
+    reversed relation X A = B X is ``solve_intertwiners(B, A)``.
     """
-    (amat, bmat), _ = rescale(as_cmat(a, 2), as_cmat(b, 2))
+    *_, dim, (amat, bmat), (e_a, e_b) = _coincidence(a, b)
+    if not dim:
+        return []
     eye = np.eye(2, dtype=complex)
-    # entry (i, k, j, l) is A[i, j] I[k, l] - I[i, j] B^T[k, l], the products np.kron forms
-    sylvester = amat[:, None, :, None] * eye[:, None] - eye[:, None, :, None] * bmat.T[:, None]
-    _, svals, vh = np.linalg.svd(sylvester.reshape(4, 4))
-    tol = NULLSPACE_RTOL * (svals[0] if svals.size else 0.0)
-    return [np.conj(vh[i]).reshape(2, 2) for i in range(4) if svals[i] <= tol]
+    vh = np.linalg.svd(np.kron(amat, eye) - np.kron(eye, bmat.T))[2]
+    shifts = np.array([[0, -e_b], [e_a, e_a - e_b]])
+    back = np.ldexp(1.0, shifts - shifts.max())
+    return [np.conj(v).reshape(2, 2) * back for v in vh[4 - dim:]]

@@ -12,6 +12,7 @@ import io
 import numpy as np
 
 from nhrlc import CircuitParams, classify, modes
+from nhrlc.mequiv import _coincidence
 
 
 def rk4_states(gen, state0, times, step):
@@ -59,6 +60,16 @@ def random_invertible(rng, n, min_det=0.1):
         m = rng.uniform(-1.0, 1.0, size=(n, n))
         if abs(np.linalg.det(m)) > min_det:
             return m
+
+
+def balanced_residual(a, b, x):
+    """max|A_b Y - Y B_b| / (s max|Y|) for an intertwiner X of (A, B), where
+    Y = D_A^-1 X D_B and A_b, B_b are the pair balanced by the coincidence
+    rule, s their largest entry modulus."""
+    *_, (ab, bb), (e_a, e_b) = _coincidence(a, b)
+    y = x * np.ldexp(1.0, -np.array([[0, -e_b], [e_a, e_a - e_b]]))
+    s = max(np.abs(ab).max(), np.abs(bb).max())
+    return float(np.abs(ab @ y - y @ bb).max() / (s * np.abs(y).max()))
 
 
 def reference_trajectory_csv(traj):

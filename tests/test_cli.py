@@ -532,6 +532,15 @@ class TestMequiv:
         assert code == 0
         assert json.loads(out) == {"m_equivalent": True, "similar": True, "intertwiner_dim": 2}
 
+    def test_loss_and_gain_generators_at_the_exceptional_point(self, capsys):
+        # H and H^dag at omega0 = alpha = 3e4: entries 1 and 9e8, roots -3e4i and 3e4i
+        code, out, _ = run_cli(
+            capsys, "mequiv", "--matrix-a", "0", "0", "0", "1", "0", "-9e8", "0", "-6e4",
+            "--matrix-b", "0", "0", "0", "9e8", "0", "-1", "0", "6e4",
+        )
+        assert code == 0
+        assert json.loads(out) == {"m_equivalent": False, "similar": False, "intertwiner_dim": 0}
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_exit_2_with_one_line(self, capsys, entry):
         with pytest.raises(SystemExit) as excinfo:

@@ -438,9 +438,14 @@ class TestIntegrated:
         with pytest.raises(ValueError, match="strictly increasing"):
             integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], times, 1e-3)
 
-    @pytest.mark.parametrize("step", [float("nan"), 0.0, -1e-3])
-    def test_rk4_rejects_a_step_that_is_not_positive(self, step):
-        with pytest.raises(ValueError, match="step must be positive"):
+    @pytest.mark.parametrize(
+        "step, message",
+        [(float("nan"), "step must be positive"), (0.0, "step must be positive"),
+         (-1e-3, "step must be positive"), (1e-310, "interval / step must be finite")],
+        ids=["nan", "0.0", "-0.001", "overflowing-substeps"],  # 1/1e-310 overflows
+    )
+    def test_rk4_rejects_a_step_that_is_not_positive(self, step, message):
+        with pytest.raises(ValueError, match=message):
             integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], [0.0, 1.0], step)
 
     def test_rk4_is_bitwise_the_stepwise_loop(self):

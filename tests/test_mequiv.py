@@ -20,7 +20,7 @@ from nhrlc import (
     trace_det,
 )
 
-from helpers import random_invertible
+from helpers import balanced_residual, random_invertible
 
 SQ2 = np.sqrt(2.0)
 
@@ -106,7 +106,8 @@ class TestIsSimilar:
             assert m_equivalent(m, conjugated)
 
     def test_trace_gap_at_the_bound_is_neither(self):
-        # scale 2, so the bound on the trace gap is 2e-12; similar implies m-equivalent
+        # largest entry modulus 1, so the bound on the trace gap is 1e-12 and this gap is
+        # twice it; similar implies m-equivalent
         nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
         shifted = np.array([[2e-12, 1.0], [0.0, 0.0]])
         assert not m_equivalent(nilpotent, shifted)
@@ -136,6 +137,39 @@ class TestInvariantScale:
     def test_huge_different_traces(self):
         assert not m_equivalent(1e300 * IDENTITY, -1e300 * IDENTITY)
         assert not is_similar(1e300 * IDENTITY, -1e300 * IDENTITY)
+
+
+class TestCoincidenceRule:
+    """m_equivalent, is_similar and the intertwiner dimension read one decision."""
+
+    @staticmethod
+    def verdicts(a, b):
+        return m_equivalent(a, b), is_similar(a, b), len(solve_intertwiners(a, b))
+
+    @pytest.mark.parametrize("omega0", [1e-150, 1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6, 1e9, 1e150])
+    def test_h_against_its_adjoint_at_every_scale(self, omega0):
+        zetas = [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 0.3, -0.3, 1.0, -1.0, 2.0, -2.0, 1 + 1e-9, 1 - 1e-9]
+        for zeta in zetas:
+            h = hamiltonian(CircuitParams.from_rates(zeta * omega0, omega0))
+            hd = h.conj().T
+            assert self.verdicts(h, hd) == ((True, True, 2) if zeta == 0 else (False, False, 0))
+            for x in solve_intertwiners(h, hd):
+                assert balanced_residual(h, hd, x) <= 1e-14
+
+    @pytest.mark.parametrize("k", [-400, -37, 1, 200, 400])
+    def test_verdicts_unchanged_by_a_power_of_two(self, k):
+        rng = np.random.default_rng(57)
+        mats = [IDENTITY, SHEAR, 2.0 * IDENTITY, H_LOWER, h_upper(-1.0), h_upper(0.0), h_upper(5.0)]
+        mats += [np.array([[1.0, 1e-9], [0.0, 1.0]]), np.diag([1.0, 1.0 + 1e-12])]
+        for alpha, omega0 in [(0.0, 1.0), (0.3, 1.0), (1.0, 1.0), (-2.0, 1e3), (3e-4, 1e-3)]:
+            h = hamiltonian(CircuitParams.from_rates(alpha, omega0))
+            mats += [h, h.conj().T]
+        mats += list(rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2)))
+        mats += [m @ mats[-1] @ np.linalg.inv(m) for m in rng.normal(size=(3, 2, 2))]
+        scale = 2.0 ** k
+        for a in mats:
+            for b in mats:
+                assert self.verdicts(a * scale, b * scale) == self.verdicts(a, b)
 
 
 class TestIntertwinerVersusInvariants:
@@ -224,6 +258,11 @@ class TestLemma:
 
     def test_hypothesis_fails_otherwise(self):
         a, mu, g = 1.0, 0.3, 1.0
+        assert not lemma_hypothesis(liouville(-g, a, a * mu, g, a, a * mu))
+
+    def test_hypothesis_is_relative_to_the_coefficients(self):
+        # a = 1e-14, g = 1e-7: 2a - g^2 = 1e-14 against terms of 1e-14, as 1 against 1 at a = g = 1
+        a, mu, g = 1e-14, 0.3, 1e-7
         assert not lemma_hypothesis(liouville(-g, a, a * mu, g, a, a * mu))
 
     def test_zero_system_satisfies_hypothesis(self):

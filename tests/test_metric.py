@@ -20,24 +20,34 @@ from nhrlc import (
     trace_det,
     verify_intertwining,
 )
-from nhrlc.cxmat import as_cmat, rescale
-from nhrlc.metric import NULLSPACE_RTOL
+from nhrlc.mequiv import _coincidence
 
-from helpers import draw_params
+from helpers import balanced_residual, draw_params
 
 SQ2 = np.sqrt(2.0)
 
 BP_REF = CircuitParams.from_rates(1 / SQ2, 1.0)
 UP_REF = CircuitParams.from_rates(5 / 4, 3 / 4)
+SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 def kron_intertwiners(a, b):
     """solve_intertwiners with its Sylvester matrix from two np.kron calls."""
-    (amat, bmat), _ = rescale(as_cmat(a, 2), as_cmat(b, 2))
+    *_, dim, (amat, bmat), (e_a, e_b) = _coincidence(a, b)
     eye = np.eye(2, dtype=complex)
-    _, svals, vh = np.linalg.svd(np.kron(amat, eye) - np.kron(eye, bmat.T))
-    tol = NULLSPACE_RTOL * svals[0]
-    return [np.conj(vh[i]).reshape(2, 2) for i in range(4) if svals[i] <= tol]
+    _, _, vh = np.linalg.svd(np.kron(amat, eye) - np.kron(eye, bmat.T))
+    shifts = np.array([[0, -e_b], [e_a, e_a - e_b]])
+    back = np.ldexp(1.0, shifts - shifts.max())  # X = D_A Y D_B^-1
+    return [np.conj(vh[i]).reshape(2, 2) * back for i in range(4 - dim, 4)]
+
+
+def basis_pairs(alpha):
+    """H, H^dag at (alpha, 1) against each other, themselves and I; a shear; 5 random pairs."""
+    params = CircuitParams.from_rates(alpha, 1.0)
+    h, hd = hamiltonian(params), gain_hamiltonian(params)
+    rng = np.random.default_rng(19)
+    pairs = [(h, hd), (hd, h), (h, h), (h, np.eye(2)), (SHEAR, np.eye(2))]
+    return pairs + [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)) for _ in range(5)]
 
 
 class TestMetricPair:
@@ -278,26 +288,34 @@ class TestSolveIntertwiners:
         rng = np.random.default_rng(18)
         for _ in range(20):
             params = draw_params(rng, Phase.BROKEN)
-            if params.alpha < 1e-3:
-                continue  # Hermitian limit: commutant becomes nontrivial
             assert solve_intertwiners(hamiltonian(params), gain_hamiltonian(params)) == []
 
+    def test_no_intertwiner_for_a_root_near_a_scalar(self):
+        # p_I(x) = (x - 1)^2 is about 1e-18 at H's root near 1, yet that root is 1e-9 from 1
+        assert solve_intertwiners(hamiltonian(CircuitParams.from_rates(1e-9, 1.0)), np.eye(2)) == []
 
     @pytest.mark.parametrize(
         "alpha", [0.3, 1 / SQ2, 1.25, 3.0, -0.3, -0.999, 1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9]
     )
     def test_basis_bitwise_equals_kron_reference(self, alpha):
-        params = CircuitParams.from_rates(alpha, 1.0)
-        h, hd = hamiltonian(params), gain_hamiltonian(params)
-        rng = np.random.default_rng(19)
-        shear = np.array([[1.0, 1.0], [0.0, 1.0]])
-        pairs = [(h, hd), (hd, h), (h, h), (h, np.eye(2)), (shear, np.eye(2))]
-        pairs += [rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)) for _ in range(5)]
-        for a, b in pairs:
+        for a, b in basis_pairs(alpha):
             got, ref = solve_intertwiners(a, b), kron_intertwiners(a, b)
             assert len(got) == len(ref)
             for x, y in zip(got, ref):
                 assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.3, -0.999, 1 + 1e-9])
+    def test_basis_solves_the_balanced_system_to_rounding(self, alpha):
+        rng = np.random.default_rng(17)
+        h_a, h_b = np.array([[2.0, 3.0], [0.0, 5.0]]), np.array([[1.0, 2.0], [1.0, 0.0]])
+        pairs = basis_pairs(alpha) + [(h_a, h_b), (h_b, h_a), (np.eye(2), SHEAR)]
+        for _ in range(10):
+            p = rng.normal(size=(2, 2)) + np.eye(2) * 2
+            shared = p @ np.diag([2.0, 5.0]) @ np.linalg.inv(p)
+            pairs += [(np.diag([1.0, 2.0]), shared), (shared, shared), (shared, 2.0 * np.eye(2))]
+        for a, b in pairs:
+            for x in solve_intertwiners(a, b):
+                assert balanced_residual(a, b, x) <= 1e-14
 
 
 class TestRandomDrawProperties:
