@@ -151,8 +151,8 @@ def trace_det(m) -> tuple[complex, complex]:
     the constant coefficient of :func:`char_poly_coeffs`."""
     a = np.asarray(m, dtype=complex)
     if a.shape == (2, 2):
-        w, x, y, z = as_cmat(a, 2).ravel().tolist()  # numpy's products, bitwise, on Python scalars
-        return w + z, w * z - x * y
+        a = as_cmat(a, 2)
+        return complex(a[0, 0] + a[1, 1]), complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     if a.shape == (4, 4):
         a = as_cmat(a, 4)
         return complex(np.trace(a)), complex(char_poly_coeffs(a)[-1])

@@ -67,51 +67,54 @@ def ode_coefficients_2(h) -> OdeCoefficients:
     return OdeCoefficients(order=2, coefficients=(1.0 + 0.0j, 1j * tr, -det))
 
 
-def _ldexp(v: complex, e: int) -> complex:
-    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
-
-
 def _coincidence(h_a, h_b):
     """The one decision behind m-equivalence, similarity and intertwiners.
 
     Each matrix M becomes D^-1 M D, D = diag(1, 2^e), |m01| 2^e ~ |m10| 2^-e,
-    and both are divided by one power of two (exact on normal floats). With
-    eps = ``EQUIVALENCE_RTOL`` * s, s the largest entry modulus, traces agree
-    within eps, determinants within eps*s, and shared roots lie within eps;
-    dim{X : A X = X B} sums min(p, q) over shared roots with Jordan blocks p,
-    q (Gantmacher, vol. 1, ch. VIII). Returns (m_equivalent, similar, dim,
-    the balanced pair, the exponents e).
+    over one common power of two, in one exact ldexp. With s the largest entry
+    modulus and eps = ``EQUIVALENCE_RTOL`` * s, traces agree within eps,
+    determinants within eps*s, and roots within eps plus the radii their
+    rounding leaves them in; dim{X : A X = X B} sums min(p, q) over shared
+    roots with Jordan blocks p, q (Gantmacher, vol. 1, ch. VIII). Returns
+    (m_equivalent, similar, dim, the balanced pair, the exponents that take
+    an intertwiner Y of it to X = D_A Y D_B^-1 over one power of two).
     """
-    rows, shifts = [], []
-    for h in (h_a, h_b):
-        w, x, y, z = as_cmat(h, 2).ravel().tolist()
-        ex, ey = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (x, y))
-        e = (ey - ex) // 2 if x and y else 0
-        rows += (w, _ldexp(x, e), _ldexp(y, -e), z)
-        shifts.append(e)
-    parts = np.array(rows).view(float)  # the components: no modulus, so none overflows
-    pair = np.ldexp(parts, 1 - math.frexp(np.abs(parts).max())[1]).view(complex).reshape(2, 2, 2)
-    rows = pair.ravel().tolist()
-    s = max(map(abs, rows))
+    rows = [as_cmat(h, 2).ravel().tolist() for h in (h_a, h_b)]
+    shifts, top = [], 0.0  # per matrix, the exponents that balance its entries; the largest part
+    for w, x, y, z in rows:
+        parts = [max(abs(v.real), abs(v.imag)) for v in (w, x, y, z)]  # no modulus: none overflows
+        e = (math.frexp(parts[2])[1] - math.frexp(parts[1])[1]) // 2 if x and y else 0
+        shifts.append((0, e, -e, 0))
+        top = max(top, parts[0], parts[3], math.ldexp(parts[1], e), math.ldexp(parts[2], -e))
+    shift = (np.array(shifts) + (1 - math.frexp(top)[1]))[..., None]  # and the common one
+    pair = np.ldexp(np.array(rows).view(float).reshape(2, 4, 2), shift).view(complex).reshape(2, 2, 2)
+    rows = pair.reshape(2, 4).tolist()
+    s = max(map(abs, rows[0] + rows[1]))
     eps = EQUIVALENCE_RTOL * s
-    kinds = []  # trace, determinant, roots (tr/2 alone if double), scalar flag
-    for m, (w, x, y, z) in zip(pair, (rows[:4], rows[4:])):
+    kinds = []  # trace, determinant, roots, the radius their rounding stays in, scalar flag
+    for m, (w, x, y, z) in zip(pair, rows):
         tr, det = trace_det(m)
-        disc = tr * tr - 4.0 * det
+        d, xy = w - z, x * y
+        disc = d * d + 4.0 * xy  # tr^2 - 4 det, with no cancellation on a diagonal or triangle
         sq = cmath.sqrt(disc)  # the larger root q with no cancellation, the other det/q
         q = (tr + sq if (tr.conjugate() * sq).real >= 0 else tr - sq) / 2.0
-        roots = (tr / 2.0,) if abs(disc) <= eps * s else (q, det / q)
-        kinds.append((tr, det, roots, max(abs(x), abs(y), abs(w - z) / 2.0) <= eps))
-    (tr_a, det_a, roots_a, scalar_a), (tr_b, det_b, roots_b, scalar_b) = kinds
+        noise = 2.0 ** -50 * (abs(d) ** 2 + 4.0 * abs(xy))  # 8 unit roundoffs bound disc's error
+        r = noise / (abs(sq) + math.sqrt(noise)) if noise else 0.0  # >= |sqrt(exact disc) - sq| / 2
+        scalar = max(abs(x), abs(y), abs(d) / 2.0) <= eps
+        kinds.append((tr, det, (q, det / q) if q else (q, q), r, scalar))
+    (tr_a, det_a, roots_a, r_a, scalar_a), (tr_b, det_b, roots_b, r_b, scalar_b) = kinds
     equal = abs(tr_a - tr_b) <= eps and abs(det_a - det_b) <= eps * s
     if equal:  # Jordan blocks (1, 1) of a scalar, (2) at a double root, (1) at a simple one
         dim = 4 if scalar_a and scalar_b else 2
-    elif any(abs(p - q) <= eps for p in roots_a for q in roots_b):
+    elif any(abs(p - q) <= eps + r_a + r_b for p in roots_a for q in roots_b):
         dim = 2 if scalar_a or scalar_b else 1
     else:
         dim = 0
+    (_, e_a, _, _), (_, e_b, _, _) = shifts
+    k = max(e_a, 0) + max(-e_b, 0)  # the largest exponent of D_A Y D_B^-1 over Y
+    undo = [[-k, -e_b - k], [e_a - k, e_a - e_b - k]]
     # a scalar matrix has a double root: similar needs equal scalar flags only there
-    return equal, equal and scalar_a == scalar_b, dim, pair, shifts
+    return equal, equal and scalar_a == scalar_b, dim, pair, undo
 
 
 def m_equivalent(h_a, h_b) -> bool:

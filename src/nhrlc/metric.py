@@ -130,11 +130,9 @@ def solve_intertwiners(a, b) -> list[np.ndarray]:
     singular vectors Y map back as D_A Y D_B^-1, over one power of two. The
     reversed relation X A = B X is ``solve_intertwiners(B, A)``.
     """
-    *_, dim, (amat, bmat), (e_a, e_b) = _coincidence(a, b)
+    *_, dim, (amat, bmat), undo = _coincidence(a, b)
     if not dim:
         return []
     eye = np.eye(2, dtype=complex)
     vh = np.linalg.svd(np.kron(amat, eye) - np.kron(eye, bmat.T))[2]
-    shifts = np.array([[0, -e_b], [e_a, e_a - e_b]])
-    back = np.ldexp(1.0, shifts - shifts.max())
-    return [np.conj(v).reshape(2, 2) * back for v in vh[4 - dim:]]
+    return [np.conj(v).reshape(2, 2) * np.ldexp(1.0, undo) for v in vh[4 - dim:]]

@@ -66,8 +66,8 @@ def balanced_residual(a, b, x):
     """max|A_b Y - Y B_b| / (s max|Y|) for an intertwiner X of (A, B), where
     Y = D_A^-1 X D_B and A_b, B_b are the pair balanced by the coincidence
     rule, s their largest entry modulus."""
-    *_, (ab, bb), (e_a, e_b) = _coincidence(a, b)
-    y = x * np.ldexp(1.0, -np.array([[0, -e_b], [e_a, e_a - e_b]]))
+    *_, (ab, bb), undo = _coincidence(a, b)
+    y = x / np.ldexp(1.0, undo)
     s = max(np.abs(ab).max(), np.abs(bb).max())
     return float(np.abs(ab @ y - y @ bb).max() / (s * np.abs(y).max()))
 

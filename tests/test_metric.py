@@ -20,7 +20,6 @@ from nhrlc import (
     trace_det,
     verify_intertwining,
 )
-from nhrlc.mequiv import _coincidence
 
 from helpers import balanced_residual, draw_params
 
@@ -29,16 +28,6 @@ SQ2 = np.sqrt(2.0)
 BP_REF = CircuitParams.from_rates(1 / SQ2, 1.0)
 UP_REF = CircuitParams.from_rates(5 / 4, 3 / 4)
 SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
-
-
-def kron_intertwiners(a, b):
-    """solve_intertwiners with its Sylvester matrix from two np.kron calls."""
-    *_, dim, (amat, bmat), (e_a, e_b) = _coincidence(a, b)
-    eye = np.eye(2, dtype=complex)
-    _, _, vh = np.linalg.svd(np.kron(amat, eye) - np.kron(eye, bmat.T))
-    shifts = np.array([[0, -e_b], [e_a, e_a - e_b]])
-    back = np.ldexp(1.0, shifts - shifts.max())  # X = D_A Y D_B^-1
-    return [np.conj(vh[i]).reshape(2, 2) * back for i in range(4 - dim, 4)]
 
 
 def basis_pairs(alpha):
@@ -294,18 +283,35 @@ class TestSolveIntertwiners:
         # p_I(x) = (x - 1)^2 is about 1e-18 at H's root near 1, yet that root is 1e-9 from 1
         assert solve_intertwiners(hamiltonian(CircuitParams.from_rates(1e-9, 1.0)), np.eye(2)) == []
 
+    @pytest.mark.parametrize("d", [1e-7, 1e-8])
+    def test_root_beside_a_near_double_root(self, d):
+        # diag(1, 1 + d) shares its root 1 exactly with diag(1, 5), with I, and with the
+        # shear's Jordan block, which gives one dimension; 1 + d/2 is d/2 from both roots
+        near = np.diag([1.0, 1.0 + d])
+        cases = ((np.diag([1.0, 5.0]), 1), (np.eye(2), 2), (SHEAR, 1), (np.diag([1 + d / 2, 5.0]), 0))
+        for b, dim in cases:
+            basis = solve_intertwiners(near, b)
+            assert len(basis) == dim
+            for x in basis:
+                assert balanced_residual(near, b, x) <= 1e-14
+
+    def test_exact_double_root_with_a_rounded_discriminant(self):
+        # t^2 = -x y exactly on these Gaussian integers, so m is A's only root, a double one;
+        # the products round, and the balanced discriminant comes out near 2e-16 instead of 0
+        al, be, m = 15186 + 14663j, 15476 + 10389j, -7.0
+        a = np.array([[m + al * be, al * al], [-(be * be), m - al * be]])
+        b = np.diag([m, 1e9])
+        basis = solve_intertwiners(a, b)
+        assert len(basis) == 1
+        assert balanced_residual(a, b, basis[0]) <= 1e-14
+
     @pytest.mark.parametrize(
         "alpha", [0.3, 1 / SQ2, 1.25, 3.0, -0.3, -0.999, 1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9]
     )
-    def test_basis_bitwise_equals_kron_reference(self, alpha):
-        for a, b in basis_pairs(alpha):
-            got, ref = solve_intertwiners(a, b), kron_intertwiners(a, b)
-            assert len(got) == len(ref)
-            for x, y in zip(got, ref):
-                assert x.tobytes() == y.tobytes()
-
-    @pytest.mark.parametrize("alpha", [0.3, -0.999, 1 + 1e-9])
     def test_basis_solves_the_balanced_system_to_rounding(self, alpha):
+        # basis_pairs: H against H^dag either way, H against itself and I, the shear against I
+        dims = [len(solve_intertwiners(a, b)) for a, b in basis_pairs(alpha)]
+        assert dims == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
         rng = np.random.default_rng(17)
         h_a, h_b = np.array([[2.0, 3.0], [0.0, 5.0]]), np.array([[1.0, 2.0], [1.0, 0.0]])
         pairs = basis_pairs(alpha) + [(h_a, h_b), (h_b, h_a), (np.eye(2), SHEAR)]
