@@ -11,6 +11,8 @@ factorization with its fermionized form, trace/determinant circuit
 equivalence, and transient dynamics computed by three independent routes.
 """
 
+from types import ModuleType as _ModuleType
+
 from .circuit import (
     CircuitParams,
     EP_BAND_RTOL,
@@ -98,73 +100,7 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiorthogonalSystem",
-    "CircuitParams",
-    "EP_BAND_RTOL",
-    "Eig2",
-    "EpSystem",
-    "ExceptionalPointError",
-    "ExistenceViolation",
-    "FermionizedSystem",
-    "GridMismatch",
-    "InitialData",
-    "IntertwinerReport",
-    "LiouvilleSystem",
-    "MetricPair",
-    "NotExceptionalError",
-    "NotPositiveHermitian",
-    "OdeCoefficients",
-    "Phase",
-    "PhaseUnsupported",
-    "PseudoFermionPair",
-    "PtReport",
-    "Trajectory",
-    "antilinear_u",
-    "build_report",
-    "char_poly_coeffs",
-    "classify",
-    "compare",
-    "eig2",
-    "eigensystem",
-    "ep_system",
-    "evolve_closed_form",
-    "evolve_integrated",
-    "evolve_spectral",
-    "expand",
-    "expm",
-    "fermionize",
-    "gain_hamiltonian",
-    "hamiltonian",
-    "hermitian_split",
-    "hpf_build",
-    "initial_state",
-    "integrate_rk4",
-    "is_similar",
-    "ladder_check",
-    "lemma_hypothesis",
-    "lemma_similarity_residual",
-    "liouville",
-    "m_equivalent",
-    "metric_pair",
-    "modes",
-    "ode_coefficients_2",
-    "operator_norm",
-    "pairing",
-    "pf_construct",
-    "pf_identify",
-    "phase_of",
-    "positive_pair",
-    "pt_check",
-    "pt_probe",
-    "quartic_coefficients",
-    "similar_hamiltonian",
-    "similar_hamiltonian_via_u",
-    "solve_intertwiners",
-    "sqrt_pos_hermitian",
-    "susy_partner",
-    "trace_det",
-    "uniform_grid",
-    "verify_intertwining",
-    "write_csv",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,9 +9,7 @@ Four subcommands, all emitting machine-readable output on stdout:
   route-agreement summary on stderr;
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
 
-CSV fields are float ``repr`` strings and a plain tag, so none needs
-quoting; the rows are formatted from Python-float columns and written
-``dynamics.CSV_BLOCK`` rows at a time.
+Both CSV outputs are written by ``dynamics.write_rows``.
 
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
@@ -123,19 +121,12 @@ def _cmd_sweep(parser: _Parser, args) -> int:
         branches = modes(alphas, args.omega0)
     if not np.isfinite([branches.lambda_plus, branches.lambda_minus]).all():
         parser.error("an eigenvalue is not finite between --alpha-min and --alpha-max")
-    omega0, block = args.omega0, dynamics.CSV_BLOCK
-    sys.stdout.write("alpha,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,phase\n")
-    for lo in range(0, alphas.size, block):
-        lam_p = branches.lambda_plus[lo:lo + block]
-        lam_m = branches.lambda_minus[lo:lo + block]
-        rows = zip(
-            alphas[lo:lo + block].tolist(),
-            lam_p.real.tolist(), lam_p.imag.tolist(), lam_m.real.tolist(), lam_m.imag.tolist(),
-        )
-        sys.stdout.write("".join(
-            f"{a!r},{b!r},{c!r},{d!r},{e!r},{phase_of(a, omega0).value}\n"
-            for a, b, c, d, e in rows
-        ))
+    dynamics.write_rows(
+        sys.stdout, "alpha,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,phase",
+        (alphas, branches.lambda_plus.real, branches.lambda_plus.imag,
+         branches.lambda_minus.real, branches.lambda_minus.imag),
+        [phase_of(a, args.omega0).value for a in map(float, alphas)],
+    )
     return 0
 
 

@@ -166,8 +166,7 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     return out
 
 
-# Rows per block of the CSV writers: bounds their working memory on long
-# grids.
+# Rows per block of write_rows: bounds its working memory on long grids.
 CSV_BLOCK = 1024
 
 
@@ -257,22 +256,26 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
     return err, float(traj_a.times[idx])
 
 
-def write_csv(traj: Trajectory, fh) -> None:
-    """Write the trajectory as CSV with a header row.
+def write_rows(fh, header: str, columns, tags) -> None:
+    """Write a CSV header line, then a row per entry of five float columns
+    and a tag sequence.
 
-    Each value is its float ``repr`` and the last field the method tag, a
-    plain word, so no field needs quoting. The rows are formatted and
-    written CSV_BLOCK at a time, from the columns as Python floats.
+    Each value is its float ``repr`` and each tag a plain word, so no field
+    needs quoting. The rows are formatted and written CSV_BLOCK at a time,
+    from one ``tolist`` of the block's columns.
     """
+    fh.write(f"{header}\n")
+    for lo in range(0, len(tags), CSV_BLOCK):
+        block = np.array([c[lo:lo + CSV_BLOCK] for c in columns]).tolist()
+        rows = zip(*block, tags[lo:lo + CSV_BLOCK])
+        fh.write("".join(f"{a!r},{b!r},{c!r},{d!r},{e!r},{tag}\n" for a, b, c, d, e, tag in rows))
+
+
+def write_csv(traj: Trajectory, fh) -> None:
+    """Write the trajectory as CSV by :func:`write_rows`, tagged by its method."""
     times = np.asarray(traj.times, dtype=float)
-    states = np.asarray(traj.states, dtype=complex)
-    tail = f",{traj.method}\n"
-    fh.write("t,re_x1,im_x1,re_x2,im_x2,method\n")
-    for lo in range(0, times.size, CSV_BLOCK):
-        x1 = states[lo:lo + CSV_BLOCK, 0]
-        x2 = states[lo:lo + CSV_BLOCK, 1]
-        rows = zip(
-            times[lo:lo + CSV_BLOCK].tolist(),
-            x1.real.tolist(), x1.imag.tolist(), x2.real.tolist(), x2.imag.tolist(),
-        )
-        fh.write("".join(f"{t!r},{a!r},{b!r},{c!r},{d!r}{tail}" for t, a, b, c, d in rows))
+    x1, x2 = np.asarray(traj.states, dtype=complex).T
+    write_rows(
+        fh, "t,re_x1,im_x1,re_x2,im_x2,method",
+        (times, x1.real, x1.imag, x2.real, x2.imag), [traj.method] * times.size,
+    )

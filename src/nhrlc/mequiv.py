@@ -92,9 +92,9 @@ def _coincidence(h_a, h_b):
     s = max(map(abs, rows[0] + rows[1]))
     eps = EQUIVALENCE_RTOL * s
     kinds = []  # trace, determinant, roots, the radius their rounding stays in, scalar flag
-    for m, (w, x, y, z) in zip(pair, rows):
-        tr, det = trace_det(m)
+    for w, x, y, z in rows:
         d, xy = w - z, x * y
+        tr, det = w + z, w * z - xy
         disc = d * d + 4.0 * xy  # tr^2 - 4 det, with no cancellation on a diagonal or triangle
         sq = cmath.sqrt(disc)  # the larger root q with no cancellation, the other det/q
         q = (tr + sq if (tr.conjugate() * sq).real >= 0 else tr - sq) / 2.0

@@ -147,9 +147,10 @@ def build_report(
             "biorthogonality_residual": check("biorthogonality_residual", biorth),
         }
 
-        pair = metric.metric_pair(system)
-        h_sim = metric.similar_hamiltonian(system, pair, h)
-        inter = metric.verify_intertwining(h, h_sim, pair)
+        with np.errstate(over="ignore", invalid="ignore"):  # as_cmat refuses what overflows
+            pair = metric.metric_pair(system)
+            h_sim = metric.similar_hamiltonian(system, pair, h)
+            inter = metric.verify_intertwining(h, h_sim, pair)
         inverse_residual = operator_norm(pair.s_phi @ pair.s_psi - np.eye(2))
         # the phase-adapted pair maps psi -> phi index-preservingly in both phases
         mapping_residual = max(

@@ -106,6 +106,25 @@ class TestAnalyze:
         assert captured.err.startswith("nhrlc: error: omega0 must be at most 1.341e+154")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ("--alpha", "5e-201", "--omega0", "1e-200"),  # BP: S_psi overflows in outer
+            ("--alpha", "1e-199", "--omega0", "1e-200"),  # UP
+            ("--alpha", "-5e-201", "--omega0", "1e-200"),  # gain
+            ("--R", "1", "--L", "1e200", "--C", "1e200"),
+            ("--alpha", "5e153", "--omega0", "1e154"),  # A @ S_phi overflows
+            ("--alpha", "2e154", "--omega0", "1e154"),
+        ],
+    )
+    def test_metric_overflow_exit_2_with_one_line_and_no_warning(self, capsys, params):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", *params])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "nhrlc: error: matrix entries must be finite\n"
+
 
 class TestSweep:
     @staticmethod
