@@ -25,9 +25,9 @@ from typing import NoReturn
 import numpy as np
 
 from . import dynamics, mequiv
-from .circuit import CircuitParams, Phase, classify, phase_of
+from .circuit import CircuitParams, phase_of
 from .metric import solve_intertwiners
-from .report import build_report, exceeds, route_agreement
+from .report import RK_STEP, build_report, cross_check, exceeds, route_agreement
 from .spectral import modes
 
 
@@ -138,17 +138,17 @@ def _cmd_evolve(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    rk_step = min(params.omega0 * args.dt, RK_STEP)  # omega0*h, no coarser than the samples
     routes = {
         "closed": dynamics.evolve_closed_form,
         "spectral": dynamics.evolve_spectral,
-        "rk": lambda *route_args: dynamics.evolve_integrated(*route_args, step=args.dt),
+        "rk": lambda *xs: dynamics.evolve_integrated(*xs, step=rk_step / params.omega0),
     }
-    if args.method != "all":
-        routes = {args.method: routes[args.method]}
-    elif classify(params) is not Phase.BROKEN:
-        del routes["closed"]  # closed form only exists in the broken phase
     try:
-        trajectories = {name: route(params, init, grid) for name, route in routes.items()}
+        if args.method == "all":
+            trajectories = cross_check(params, init, grid, rk_step)
+        else:
+            trajectories = {args.method: routes[args.method](params, init, grid)}
     except ValueError as exc:  # a route refusing this phase or point
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2
@@ -161,7 +161,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
             print(f"{name}: state not finite from t={traj.times[bad.argmax()]:g}", file=sys.stderr)
             nonfinite = True
 
-    agreement = route_agreement(trajectories, args.dt)
+    agreement = route_agreement(trajectories, rk_step)
     for name_a, name_b, err, at, tol in agreement:
         status = "EXCEEDS" if exceeds(err, tol) else "ok"
         print(
@@ -169,7 +169,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
             f"(tolerance {tol:.1e}, {status})",
             file=sys.stderr,
         )
-    if args.method == "all" and agreement:
+    if agreement:  # only --method all has pairs
         print(f"three-way max error: {np.max([r[2] for r in agreement]):.3e}", file=sys.stderr)
     failed = nonfinite or any(exceeds(err, tol) for _, _, err, _, tol in agreement)
     return 1 if failed else 0

@@ -64,16 +64,18 @@ def eig2(m) -> Eig2:
 
     Eigenvalues are ordered by descending imaginary part, ties broken by
     descending real part. The ``degenerate`` flag is set when the modulus of
-    the characteristic-polynomial discriminant falls below
-    ``DEGENERACY_RTOL * (|tr|^2 + 1)``; the matrix is then treated as having
-    a double eigenvalue tr/2 (and, unless it is a multiple of the identity,
-    a single eigendirection, returned twice).
+    the characteristic-polynomial discriminant is at most ``DEGENERACY_RTOL *
+    max|m_ij|^2``, compared by square roots so that nothing overflows; the
+    matrix is then treated as having a double eigenvalue tr/2 (and, unless it
+    is a multiple of the identity, a single eigendirection, returned twice).
     """
     a = as_cmat(m, 2)
     tr = a[0, 0] + a[1, 1]
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     disc = tr * tr - 4.0 * det
-    degenerate = bool(abs(disc) < DEGENERACY_RTOL * (abs(tr) ** 2 + 1.0))
+    s = np.sqrt(disc)
+    scale = float(np.abs(a).max())
+    degenerate = bool(abs(s) <= math.sqrt(DEGENERACY_RTOL) * scale)
 
     if degenerate:
         lam = complex(tr / 2.0)
@@ -84,13 +86,12 @@ def eig2(m) -> Eig2:
             return Eig2((lam, lam), (e1, e2), True)
         return Eig2((lam, lam), (vec, vec.copy()), True)
 
-    s = np.sqrt(disc)
-    tie = abs(s.imag) <= ORDER_TIE_RTOL * (1.0 + abs(s))
+    tie = abs(s.imag) <= ORDER_TIE_RTOL * scale
     if (not tie and s.imag < 0) or (tie and s.real < 0):
         s = -s
     lam1 = (tr + s) / 2.0
     lam2 = (tr - s) / 2.0
-    # |lam1 - lam2| >= 1e-5 * sqrt(|tr|^2 + 1) off the band, so a != lam*I: no None
+    # |lam1 - lam2| > 1e-5 * max|a_ij| off the band, so a != lam*I: no None
     v1 = _eigvec(a, lam1)
     v2 = _eigvec(a, lam2)
     return Eig2((complex(lam1), complex(lam2)), (v1, v2), False)
@@ -103,7 +104,7 @@ def _eigvec(a: np.ndarray, lam: complex) -> np.ndarray | None:
     n1 = float(np.linalg.norm(cand1))
     n2 = float(np.linalg.norm(cand2))
     scale = float(np.abs(a).max()) + abs(lam)
-    if max(n1, n2) <= 1e-14 * (scale + 1.0):
+    if max(n1, n2) <= 1e-14 * scale:
         return None
     v = cand1 if n1 >= n2 else cand2
     return v / np.linalg.norm(v)
@@ -134,8 +135,7 @@ def sqrt_pos_hermitian(m) -> np.ndarray:
     eigenvalues strictly positive.
     """
     a = as_cmat(m, 2)
-    scale = float(np.abs(a).max()) + 1.0
-    if np.abs(a - a.conj().T).max() > HERMITICITY_ATOL * scale:
+    if np.abs(a - a.conj().T).max() > HERMITICITY_ATOL * np.abs(a).max():
         raise NotPositiveHermitian("matrix is not Hermitian")
     h = (a + a.conj().T) / 2.0
     tr = float(h[0, 0].real + h[1, 1].real)

@@ -2,10 +2,10 @@
 
 The report is a plain JSON-serializable dict (schema 1): complex numbers are
 {"re": x, "im": y} objects, matrices nested lists of those. Every residual
-is a gate. :data:`TOLERANCES` is the registry of gate bounds by name; the
-route pairs of the dynamics are bounded by :func:`route_agreement`, with
-:func:`rk_tolerance` for pairs with the RK route. :func:`exceeds` is the one
-verdict, and a NaN exceeds every bound. :func:`build_report` returns the
+is a gate. :data:`TOLERANCES` is the registry of gate bounds by name. The
+routes of :func:`cross_check` are bounded pairwise by :func:`route_agreement`,
+with :func:`rk_tolerance` for pairs with the RK route. :func:`exceeds` is the
+one verdict, and a NaN exceeds every bound. :func:`build_report` returns the
 violated gates alongside the report so callers can self-diagnose.
 """
 
@@ -36,10 +36,13 @@ TOLERANCES = {
     "closed_vs_spectral": 1e-10,
 }
 
+# The RK route's step omega0*h, in the circuit's own time unit 1/omega0.
+RK_STEP = 1e-3
+
 
 def rk_tolerance(step: float) -> float:
-    """Documented agreement bound for the RK4 route at the given step."""
-    return max(1e-9, 1e-6 * (step / 1e-3) ** 4)
+    """Documented agreement bound for the RK4 route at the dimensionless step omega0*h."""
+    return max(1e-9, 1e-6 * (step / RK_STEP) ** 4)
 
 
 def exceeds(value: float, bound: float) -> bool:
@@ -65,6 +68,19 @@ def route_agreement(trajectories: dict, rk_step: float) -> list:
     return out
 
 
+def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP) -> dict:
+    """The routes' trajectories on one grid, by name, exact routes first: "closed"
+    in the broken phase only, the spectral route by its method tag ("expm" at the
+    exceptional point), then "rk" at step rk_step/omega0; rk_step is omega0*h."""
+    routes = {}
+    if classify(params) is Phase.BROKEN:
+        routes["closed"] = dynamics.evolve_closed_form(params, init, grid)
+    spectral = dynamics.evolve_spectral(params, init, grid)
+    routes[spectral.method] = spectral
+    routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=rk_step / params.omega0)
+    return routes
+
+
 def c2j(z) -> dict:
     z = complex(z)
     return {"re": float(z.real), "im": float(z.imag)}
@@ -84,7 +100,7 @@ def build_report(
     params: CircuitParams,
     t_max: float = 10.0,
     dt: float = 0.01,
-    rk_step: float = 1e-3,
+    rk_step: float = RK_STEP,
     i0: float = 1.0,
     v0: float = 0.0,
 ) -> ReportResult:
@@ -204,17 +220,12 @@ def build_report(
     init = dynamics.InitialData(
         i0=i0, v0=v0, inductance=params.inductance if params.inductance else 1.0
     )
-    routes = {}
-    if phase is Phase.BROKEN:
-        routes["closed"] = dynamics.evolve_closed_form(params, init, grid)
-    spectral = dynamics.evolve_spectral(params, init, grid)
-    routes[spectral.method] = spectral  # "expm" at the exceptional point
-    routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=rk_step)
     dyn: dict = {
         "t_max": float(t_max),
         "dt": float(dt),
         "rk_step": float(rk_step),
     }
+    routes = cross_check(params, init, grid, rk_step)
     for name_a, name_b, err, _, bound in route_agreement(routes, rk_step):
         key = f"{name_a}_vs_{name_b}"
         dyn[key] = check(key, err, bound)

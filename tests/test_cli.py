@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from nhrlc import CircuitParams, build_report, eigensystem
+from nhrlc import CircuitParams, build_report, eigensystem, report
 from nhrlc.cli import main
 
 from helpers import reference_sweep_csv
@@ -359,6 +360,38 @@ class TestEvolve:
         assert "closed vs spectral" in err
         assert "three-way max error" in err.strip().splitlines()[-1]
 
+    @pytest.mark.parametrize(
+        "alpha, omega0",
+        [("0.5", "1"), ("2", "1"), ("1", "1"), ("-0.3", "1"), ("15", "50")],
+        ids=["BP", "UP", "EP", "gain-BP", "BP-omega0-50"],
+    )
+    def test_pairs_are_the_analyze_pairs(self, capsys, monkeypatch, alpha, omega0):
+        with monkeypatch.context() as patch:  # every report gate then states its bound
+            patch.setattr(report, "exceeds", lambda value, bound: True)
+            params = CircuitParams.from_rates(float(alpha), float(omega0))
+            violations = build_report(params).violations
+        pair = r"(\w+)_vs_(\w+) = (\S+) exceeds (\S+)"
+        want = [m.groups() for line in violations if (m := re.fullmatch(pair, line))]
+        code, _, err = run_cli(
+            capsys, "evolve", "--alpha", alpha, "--omega0", omega0, "--i0", "1", "--v0", "0",
+            "--L", "1", "--t-max", "10", "--dt", "0.01",
+        )
+        assert code == 0, err
+        pair = r"(\w+) vs (\w+): max error (\S+) at \S+ \(tolerance ([^,]+), ok\)"
+        got = [re.fullmatch(pair, line).groups() for line in err.splitlines()[:-1]]
+        assert want and got == want
+
+    def test_coarse_samples_keep_the_rk_step(self, capsys):
+        # --dt spaces the samples only; the state starts at (1, -0.1) and decays, so scale 1
+        code, _, err = run_cli(
+            capsys, "evolve", "--alpha", "0.1", "--omega0", "1", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
+        )
+        assert code == 0, err
+        rk_lines = [line for line in err.splitlines() if " vs rk:" in line]
+        assert len(rk_lines) == 2
+        assert all(float(re.search(r"tolerance ([^,]+),", line)[1]) <= 1e-6 for line in rk_lines)
+
     def test_single_method(self, capsys):
         code, out, err = run_cli(capsys, *self.BASE, "--method", "rk")
         assert code == 0
@@ -384,18 +417,18 @@ class TestEvolve:
         rows = list(csv.reader(io.StringIO(out)))
         methods = {r[-1] for r in rows if r and r[-1] != "method"}
         assert methods == {"expm", "integrated"}
-        assert "spectral vs rk" in err
+        assert "expm vs rk" in err
 
     def test_nan_error_fails_the_run(self, capsys):
-        # omega0*dt = 4 makes the RK route overflow to an inf error
+        # the gain state grows as e^{0.5 t}: every route overflows, so every error is NaN
         with np.errstate(over="ignore", invalid="ignore"):
             code, _, err = run_cli(
-                capsys, "evolve", "--alpha", "0.1", "--omega0", "1", "--i0", "1",
+                capsys, "evolve", "--alpha", "-0.5", "--omega0", "1", "--i0", "1",
                 "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
             )
         assert code == 1
-        assert "spectral vs rk: max error inf" in err
-        assert err.strip().splitlines()[-1] == "three-way max error: inf"
+        assert "spectral vs rk: max error nan" in err
+        assert err.strip().splitlines()[-1] == "three-way max error: nan"
 
     def test_single_route_nan_fails_the_run(self, capsys):
         # no agreement gate on one route: its non-finite states fail the run
@@ -411,13 +444,13 @@ class TestEvolve:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(
-                capsys, "evolve", "--alpha", "0.1", "--omega0", "1", "--i0", "1",
+                capsys, "evolve", "--alpha", "-0.5", "--omega0", "1", "--i0", "1",
                 "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
             )
         assert code == 1
         assert not caught and "RuntimeWarning" not in err
-        # the distances stay finite up to the first non-finite RK state
-        assert "spectral vs rk: max error inf at t=1484 " in err
+        # the error is placed at the first non-finite exact state
+        assert "closed vs spectral: max error nan at t=1420 " in err
 
     def test_refused_route_exit_2_with_one_line(self, capsys):
         # the closed form covers the broken phase only; (-2, 1) is gain UP

@@ -224,6 +224,47 @@ class TestSqrtPosHermitian:
             sqrt_pos_hermitian(np.array(bad))
 
 
+def hermitian_verdict(m):
+    try:
+        sqrt_pos_hermitian(m)
+    except NotPositiveHermitian as exc:
+        return str(exc)
+    return "positive"
+
+
+class TestScaleFreeVerdicts:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, 2.0]),                       # distinct, a tie in imaginary parts
+            np.array([[1.0, 1.0], [0.0, 1.0]]),        # Jordan block, not Hermitian
+            np.eye(2),                                 # a multiple of the identity
+            np.array([[0.0, 1.0], [-1.0, -2.0]]),      # the EP generator in omega0 units
+            np.array([[1.0, 1.0], [1e-11, 1.0]]),      # inside the degenerate band
+            np.array([[1.0, 1.0], [1e-9, 1.0]]),       # just outside it
+            np.array([[2.0, 1j], [-1j, 2.0]]),         # positive Hermitian
+            np.array([[1.0, 2.0], [2.0, 1.0]]),        # Hermitian, one negative eigenvalue
+            np.array([[1 + 2j, 0.5], [0.3j, -1.0]]),
+        ],
+        ids=["diag", "jordan", "identity", "ep", "in-band", "off-band", "hermitian",
+             "indefinite", "complex"],
+    )
+    def test_power_of_two_multiples_get_the_same_verdicts(self, m):
+        # each decision is relative to the largest entry, and scaling by 2^k is exact
+        base = eig2(m)
+        for k in range(-60, 61):
+            s = 2.0**k
+            got = eig2(s * m)
+            assert got.degenerate == base.degenerate, k
+            np.testing.assert_allclose(got.values, s * np.array(base.values), rtol=1e-15)
+            np.testing.assert_allclose(got.vectors, base.vectors, rtol=1e-15, atol=1e-300)
+            assert hermitian_verdict(s * m) == hermitian_verdict(m), k
+
+    def test_expm_of_a_small_diagonal(self):
+        got = expm(np.diag([1e-6, 2e-6]), 1e6)
+        np.testing.assert_allclose(np.diag(got), [np.e, np.e**2], rtol=1e-14)
+
+
 class TestTraceDet:
     def test_identity(self):
         assert trace_det(np.eye(2)) == (2.0, 1.0)

@@ -120,6 +120,18 @@ class TestGates:
         assert bound == rk_tolerance(1e-3) * np.abs(closed.states).max()
         assert exceeds(err, bound)
 
+    @pytest.mark.parametrize("ratio", [0.3, 2.0, -0.3], ids=["BP", "UP", "gain-BP"])
+    def test_rk_pairs_hold_in_circuit_units(self, ratio):
+        # one run in units of 1/omega0 at every omega0; samples 10 apart are coarser
+        # than RK4's stability limit 2.83, so the RK step must be RK_STEP/omega0
+        for w in 10.0 ** np.arange(-3, 7):
+            result = build_report(CircuitParams.from_rates(ratio * w, w), t_max=100 / w, dt=10 / w)
+            dyn = result.report["dynamics"]
+            assert dyn["rk_step"] == report.RK_STEP
+            rk_pairs = [key for key in dyn if key.endswith("_vs_rk")]
+            assert rk_pairs and all(np.isfinite(dyn[key]) for key in rk_pairs), w
+            assert not [line for line in result.violations if "_vs_rk" in line], w
+
     def test_every_registry_gate_is_reached_with_its_bound_read_at_call_time(self, monkeypatch):
         for name in TOLERANCES:
             monkeypatch.setitem(TOLERANCES, name, -1.0)
