@@ -138,17 +138,16 @@ def _cmd_evolve(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    rk_step = min(params.omega0 * args.dt, RK_STEP)  # omega0*h, no coarser than the samples
-    routes = {
-        "closed": dynamics.evolve_closed_form,
-        "spectral": dynamics.evolve_spectral,
-        "rk": lambda *xs: dynamics.evolve_integrated(*xs, step=rk_step / params.omega0),
-    }
+    step = min(args.dt, RK_STEP / params.omega0)  # the RK step h, no coarser than the samples
     try:
         if args.method == "all":
-            trajectories = cross_check(params, init, grid, rk_step)
+            trajectories = cross_check(params, init, grid, step)
+        elif args.method == "closed":
+            trajectories = {"closed": dynamics.evolve_closed_form(params, init, grid)}
+        elif args.method == "spectral":
+            trajectories = {"spectral": dynamics.evolve_spectral(params, init, grid)}
         else:
-            trajectories = {args.method: routes[args.method](params, init, grid)}
+            trajectories = {"rk": dynamics.evolve_integrated(params, init, grid, step=step)}
     except ValueError as exc:  # a route refusing this phase or point
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2
@@ -161,7 +160,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
             print(f"{name}: state not finite from t={traj.times[bad.argmax()]:g}", file=sys.stderr)
             nonfinite = True
 
-    agreement = route_agreement(trajectories, rk_step)
+    agreement = route_agreement(trajectories, params.omega0 * step)
     for name_a, name_b, err, at, tol in agreement:
         status = "EXCEEDS" if exceeds(err, tol) else "ok"
         print(

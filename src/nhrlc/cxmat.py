@@ -65,16 +65,17 @@ def eig2(m) -> Eig2:
     Eigenvalues are ordered by descending imaginary part, ties broken by
     descending real part. The ``degenerate`` flag is set when the modulus of
     the characteristic-polynomial discriminant is at most ``DEGENERACY_RTOL *
-    max|m_ij|^2``, compared by square roots so that nothing overflows; the
-    matrix is then treated as having a double eigenvalue tr/2 (and, unless it
-    is a multiple of the identity, a single eigendirection, returned twice).
+    max(|tr|, sqrt|det|)^2``, the eigenvalues' size squared (a non-normal
+    matrix's entries can be far larger); the matrix is then treated as having a
+    double eigenvalue tr/2 (and, unless it is a multiple of the identity, a
+    single eigendirection, returned twice).
     """
     a = as_cmat(m, 2)
     tr = a[0, 0] + a[1, 1]
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     disc = tr * tr - 4.0 * det
     s = np.sqrt(disc)
-    scale = float(np.abs(a).max())
+    scale = max(abs(tr), math.sqrt(abs(det)))
     degenerate = bool(abs(s) <= math.sqrt(DEGENERACY_RTOL) * scale)
 
     if degenerate:
@@ -91,7 +92,7 @@ def eig2(m) -> Eig2:
         s = -s
     lam1 = (tr + s) / 2.0
     lam2 = (tr - s) / 2.0
-    # |lam1 - lam2| > 1e-5 * max|a_ij| off the band, so a != lam*I: no None
+    # lam1 != lam2 off the band, so a != lam*I: no None
     v1 = _eigvec(a, lam1)
     v2 = _eigvec(a, lam2)
     return Eig2((complex(lam1), complex(lam2)), (v1, v2), False)

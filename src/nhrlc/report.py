@@ -68,16 +68,16 @@ def route_agreement(trajectories: dict, rk_step: float) -> list:
     return out
 
 
-def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP) -> dict:
+def cross_check(params: CircuitParams, init, grid, step: float) -> dict:
     """The routes' trajectories on one grid, by name, exact routes first: "closed"
     in the broken phase only, the spectral route by its method tag ("expm" at the
-    exceptional point), then "rk" at step rk_step/omega0; rk_step is omega0*h."""
+    exceptional point), then "rk" at the step h = ``step`` in seconds."""
     routes = {}
     if classify(params) is Phase.BROKEN:
         routes["closed"] = dynamics.evolve_closed_form(params, init, grid)
     spectral = dynamics.evolve_spectral(params, init, grid)
     routes[spectral.method] = spectral
-    routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=rk_step / params.omega0)
+    routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=step)
     return routes
 
 
@@ -225,7 +225,7 @@ def build_report(
         "dt": float(dt),
         "rk_step": float(rk_step),
     }
-    routes = cross_check(params, init, grid, rk_step)
+    routes = cross_check(params, init, grid, rk_step / params.omega0)
     for name_a, name_b, err, _, bound in route_agreement(routes, rk_step):
         key = f"{name_a}_vs_{name_b}"
         dyn[key] = check(key, err, bound)

@@ -392,6 +392,16 @@ class TestEvolve:
         assert len(rk_lines) == 2
         assert all(float(re.search(r"tolerance ([^,]+),", line)[1]) <= 1e-6 for line in rk_lines)
 
+    def test_step_is_chosen_in_seconds(self, capsys):
+        # omega0*dt underflows to 0, so the step must not be formed as that product
+        code, out, err = run_cli(
+            capsys, "evolve", "--alpha", "0", "--omega0", "1e-200", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "1e-199", "--dt", "1e-200",
+        )
+        assert code == 0, err
+        assert out.strip().splitlines()[-1] == "1e-199,1.0,0.0,0.0,0.0,integrated"
+        assert "closed vs rk: max error 0.000e+00 at t=0 (tolerance 1.0e-09, ok)" in err
+
     def test_single_method(self, capsys):
         code, out, err = run_cli(capsys, *self.BASE, "--method", "rk")
         assert code == 0

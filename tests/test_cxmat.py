@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhrlc import char_poly_coeffs, eig2, expm, operator_norm, sqrt_pos_hermitian, trace_det
+from nhrlc import (
+    CircuitParams,
+    char_poly_coeffs,
+    eig2,
+    expm,
+    hamiltonian,
+    operator_norm,
+    sqrt_pos_hermitian,
+    trace_det,
+)
 from nhrlc.cxmat import as_cmat, as_cvec2
 from nhrlc.errors import NotPositiveHermitian
+from nhrlc.spectral import modes
 
 from helpers import rk4_states
 
@@ -250,7 +260,7 @@ class TestScaleFreeVerdicts:
              "indefinite", "complex"],
     )
     def test_power_of_two_multiples_get_the_same_verdicts(self, m):
-        # each decision is relative to the largest entry, and scaling by 2^k is exact
+        # each decision is relative to the matrix's own scale, and scaling by 2^k is exact
         base = eig2(m)
         for k in range(-60, 61):
             s = 2.0**k
@@ -263,6 +273,24 @@ class TestScaleFreeVerdicts:
     def test_expm_of_a_small_diagonal(self):
         got = expm(np.diag([1e-6, 2e-6]), 1e6)
         np.testing.assert_allclose(np.diag(got), [np.e, np.e**2], rtol=1e-14)
+
+    @pytest.mark.parametrize("omega0", [1e4, 1e6])
+    @pytest.mark.parametrize("zeta", [0.3, 0.999, 1.001, 2.0, -0.3, -0.999])
+    def test_circuit_generator_matches_modes(self, omega0, zeta):
+        # H's entries reach omega0^2, far above its eigenvalues' size omega0
+        h = hamiltonian(CircuitParams.from_rates(zeta * omega0, omega0))
+        lam = modes(zeta * omega0, omega0)
+        got = eig2(h)
+        assert not got.degenerate
+        np.testing.assert_allclose(
+            got.values, [lam.lambda_plus, lam.lambda_minus], rtol=0, atol=1e-14 * omega0
+        )
+        t = 1.0 / omega0
+        np.testing.assert_allclose(
+            np.trace(expm(-1j * h, t)),
+            np.exp(-1j * lam.lambda_plus * t) + np.exp(-1j * lam.lambda_minus * t),
+            rtol=0, atol=1e-14,
+        )
 
 
 class TestTraceDet:
