@@ -32,6 +32,7 @@ from .cxmat import as_cmat
 EP_BAND_RTOL = 1e-12
 
 MAX_OMEGA0 = float(np.sqrt(np.finfo(float).max))  # omega0^2 is in H: keep it finite
+MAX_ALPHA = float(np.finfo(float).max) / 2  # so is 2*alpha
 
 
 class Phase(enum.Enum):
@@ -65,6 +66,8 @@ class CircuitParams:
             raise ValueError("omega0 must be positive")
         if self.omega0 > MAX_OMEGA0:
             raise ValueError(f"omega0 must be at most {MAX_OMEGA0:.4g}, where omega0^2 overflows")
+        if abs(self.alpha) > MAX_ALPHA:
+            raise ValueError(f"|alpha| must be at most {MAX_ALPHA:.4g}, where 2*alpha overflows")
 
     @classmethod
     def from_rlc(cls, resistance: float, inductance: float, capacitance: float) -> "CircuitParams":

@@ -27,7 +27,7 @@ import numpy as np
 from . import dynamics, mequiv
 from .circuit import CircuitParams, phase_of
 from .metric import solve_intertwiners
-from .report import RK_STEP, build_report, cross_check, exceeds, route_agreement
+from .report import build_report, cross_check, exceeds
 from .spectral import modes
 
 
@@ -138,16 +138,8 @@ def _cmd_evolve(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    step = min(args.dt, RK_STEP / params.omega0)  # the RK step h, no coarser than the samples
     try:
-        if args.method == "all":
-            trajectories = cross_check(params, init, grid, step)
-        elif args.method == "closed":
-            trajectories = {"closed": dynamics.evolve_closed_form(params, init, grid)}
-        elif args.method == "spectral":
-            trajectories = {"spectral": dynamics.evolve_spectral(params, init, grid)}
-        else:
-            trajectories = {"rk": dynamics.evolve_integrated(params, init, grid, step=step)}
+        trajectories, agreement = cross_check(params, init, grid, method=args.method)
     except ValueError as exc:  # a route refusing this phase or point
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2
@@ -160,7 +152,6 @@ def _cmd_evolve(parser: _Parser, args) -> int:
             print(f"{name}: state not finite from t={traj.times[bad.argmax()]:g}", file=sys.stderr)
             nonfinite = True
 
-    agreement = route_agreement(trajectories, params.omega0 * step)
     for name_a, name_b, err, at, tol in agreement:
         status = "EXCEEDS" if exceeds(err, tol) else "ok"
         print(

@@ -2,11 +2,11 @@
 
 The report is a plain JSON-serializable dict (schema 1): complex numbers are
 {"re": x, "im": y} objects, matrices nested lists of those. Every residual
-is a gate. :data:`TOLERANCES` is the registry of gate bounds by name. The
-routes of :func:`cross_check` are bounded pairwise by :func:`route_agreement`,
-with :func:`rk_tolerance` for pairs with the RK route. :func:`exceeds` is the
-one verdict, and a NaN exceeds every bound. :func:`build_report` returns the
-violated gates alongside the report so callers can self-diagnose.
+is a gate. :data:`TOLERANCES` is the registry of gate bounds by name. For both
+``analyze`` and ``evolve``, :func:`cross_check` runs the routes and bounds them pairwise
+by :func:`route_agreement`, with :func:`rk_tolerance` for pairs with the RK route.
+:func:`exceeds` is the one verdict, and a NaN exceeds every bound. :func:`build_report`
+returns the violated gates alongside the report so callers can self-diagnose.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ TOLERANCES = {
     "closed_vs_spectral": 1e-10,
 }
 
-# The RK route's step omega0*h, in the circuit's own time unit 1/omega0.
+# The RK route's step r*h, in units of the circuit's fastest time 1/r, r = max|lambda|.
 RK_STEP = 1e-3
 
 
 def rk_tolerance(step: float) -> float:
-    """Documented agreement bound for the RK4 route at the dimensionless step omega0*h."""
+    """Documented agreement bound for the RK4 route at the dimensionless step r*h."""
     return max(1e-9, 1e-6 * (step / RK_STEP) ** 4)
 
 
@@ -68,17 +68,25 @@ def route_agreement(trajectories: dict, rk_step: float) -> list:
     return out
 
 
-def cross_check(params: CircuitParams, init, grid, step: float) -> dict:
-    """The routes' trajectories on one grid, by name, exact routes first: "closed"
-    in the broken phase only, the spectral route by its method tag ("expm" at the
-    exceptional point), then "rk" at the step h = ``step`` in seconds."""
+def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP, method="all"):
+    """(trajectories by route name, their route_agreement pairs) on a grid from 0. "all"
+    runs "closed" in the broken phase only, the spectral route by its method tag, then
+    "rk"; another ``method`` runs that route alone. RK steps h = min(rk_step/r, spacing)
+    seconds, r = max|lambda| the fastest rate, and its pairs are bounded at r*h."""
+    phase, rate = classify(params), params.omega0
+    if phase is Phase.UNBROKEN:  # overdamped: |alpha| + sqrt(alpha^2 - omega0^2)
+        a = abs(params.alpha)
+        rate = a + (a - rate) ** 0.5 * (a + rate) ** 0.5
+    step = min([rk_step / rate, *grid[1:2]])  # grid[1] is the spacing; keeps a NaN rk_step
     routes = {}
-    if classify(params) is Phase.BROKEN:
+    if method == "closed" or (method == "all" and phase is Phase.BROKEN):
         routes["closed"] = dynamics.evolve_closed_form(params, init, grid)
-    spectral = dynamics.evolve_spectral(params, init, grid)
-    routes[spectral.method] = spectral
-    routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=step)
-    return routes
+    if method in ("all", "spectral"):
+        spectral = dynamics.evolve_spectral(params, init, grid)
+        routes[spectral.method] = spectral
+    if method in ("all", "rk"):
+        routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=step)
+    return routes, route_agreement(routes, rate * step)
 
 
 def c2j(z) -> dict:
@@ -225,8 +233,7 @@ def build_report(
         "dt": float(dt),
         "rk_step": float(rk_step),
     }
-    routes = cross_check(params, init, grid, rk_step / params.omega0)
-    for name_a, name_b, err, _, bound in route_agreement(routes, rk_step):
+    for name_a, name_b, err, _, bound in cross_check(params, init, grid, rk_step)[1]:
         key = f"{name_a}_vs_{name_b}"
         dyn[key] = check(key, err, bound)
     report["dynamics"] = dyn

@@ -13,7 +13,7 @@ from nhrlc import (
     ode_coefficients_2,
     phase_of,
 )
-from nhrlc.circuit import MAX_OMEGA0
+from nhrlc.circuit import MAX_ALPHA, MAX_OMEGA0
 
 from helpers import deriv5, rk4_states
 
@@ -57,6 +57,15 @@ class TestCircuitParams:
                 with pytest.raises(ValueError, match="omega0 must be at most"):
                     CircuitParams.from_rlc(1.0, lc, lc)
         edge = CircuitParams.from_rates(1.0, MAX_OMEGA0)
+        assert np.all(np.isfinite(hamiltonian(edge)))
+
+    def test_rejects_alpha_whose_double_overflows(self):
+        for alpha in (9e307, -1.7e308):
+            with pytest.raises(ValueError, match=r"\|alpha\| must be at most 8.988e\+307"):
+                CircuitParams.from_rates(alpha, 1.0)
+        with pytest.raises(ValueError, match=r"\|alpha\| must be at most"):
+            CircuitParams.from_rlc(1e308, 0.5, 1.0)
+        edge = CircuitParams.from_rates(-MAX_ALPHA, 1.0)
         assert np.all(np.isfinite(hamiltonian(edge)))
 
 

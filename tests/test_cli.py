@@ -86,13 +86,17 @@ class TestAnalyze:
             ("analyze", "--alpha", "1", "--omega0", "1", "--R", "1", "--L", "1", "--C", "1"),
             ("analyze", "--R", "1", "--L", "1"),
             ("analyze", "--alpha", "1", "--omega0", "-2"),
+            ("analyze", "--alpha", "9e307", "--omega0", "1"),  # 2*alpha overflows
+            ("analyze", "--alpha", "-1.7e308", "--omega0", "1"),
+            ("analyze", "--R", "1e308", "--L", "0.5", "--C", "1"),
         ],
     )
     def test_invalid_parameters_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "params",
@@ -362,8 +366,11 @@ class TestEvolve:
 
     @pytest.mark.parametrize(
         "alpha, omega0",
-        [("0.5", "1"), ("2", "1"), ("1", "1"), ("-0.3", "1"), ("15", "50")],
-        ids=["BP", "UP", "EP", "gain-BP", "BP-omega0-50"],
+        [
+            ("0.5", "1"), ("2", "1"), ("1", "1"), ("-0.3", "1"), ("15", "50"),
+            ("0.01", "0.05"), ("100", "1"),
+        ],
+        ids=["BP", "UP", "EP", "gain-BP", "BP-omega0-50", "BP-omega0-0.05", "UP-zeta-100"],
     )
     def test_pairs_are_the_analyze_pairs(self, capsys, monkeypatch, alpha, omega0):
         with monkeypatch.context() as patch:  # every report gate then states its bound
@@ -409,6 +416,34 @@ class TestEvolve:
         assert {r[-1] for r in rows if r and r[-1] != "method"} == {"integrated"}
         assert "three-way" not in err
 
+    @pytest.mark.parametrize(
+        "alpha, method",
+        [("0.5", "closed"), ("0.5", "spectral"), ("0.5", "rk"), ("2", "spectral"),
+         ("2", "rk"), ("1", "spectral"), ("1", "rk"), ("-0.3", "rk")],
+        ids=["BP-closed", "BP-spectral", "BP-rk", "UP-spectral", "UP-rk", "EP-spectral",
+             "EP-rk", "gain-BP-rk"],
+    )
+    def test_single_method_block_is_its_block_of_all(self, capsys, alpha, method):
+        argv = ["evolve", "--alpha", alpha, "--omega0", "1", "--i0", "1", "--v0", "0.5",
+                "--L", "2", "--t-max", "10", "--dt", "0.01"]
+        code, out, err = run_cli(capsys, *argv, "--method", method)
+        assert code == 0 and err == ""
+        _, out_all, _ = run_cli(capsys, *argv)
+        blocks = ["t," + block for block in out_all.split("t,")[1:]]
+        assert out in blocks and len(blocks) == (3 if alpha in ("0.5", "-0.3") else 2)
+
+    @pytest.mark.parametrize("method", ["all", "closed", "spectral", "rk"])
+    def test_one_sample_grid(self, capsys, method):
+        # t_max below dt/2 rounds to a grid of t = 0 alone, with no spacing to step at
+        code, out, err = run_cli(
+            capsys, "evolve", "--alpha", "0.5", "--omega0", "1", "--i0", "1", "--v0", "0",
+            "--L", "1", "--t-max", "0.001", "--dt", "1", "--method", method,
+        )
+        assert code == 0, err
+        rows = [r for r in csv.reader(io.StringIO(out)) if r[0] != "t"]
+        assert len(rows) == (3 if method == "all" else 1)
+        assert all(r[0] == "0.0" and float(r[1]) == 1.0 for r in rows)
+
     def test_closed_method_outside_broken_phase(self, capsys):
         code, _, err = run_cli(
             capsys, "evolve", "--alpha", "2", "--omega0", "1", "--i0", "1",
@@ -443,24 +478,29 @@ class TestEvolve:
     def test_single_route_nan_fails_the_run(self, capsys):
         # no agreement gate on one route: its non-finite states fail the run
         code, out, err = run_cli(
-            capsys, "evolve", "--alpha", "1e200", "--omega0", "1", "--i0", "1",
-            "--v0", "0", "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", "rk",
+            capsys, "evolve", "--alpha", "-0.5", "--omega0", "1", "--i0", "1",
+            "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4", "--method", "rk",
         )
         assert code == 1
-        assert "nan" in out
-        assert err.strip().splitlines() == ["rk: state not finite from t=0.1"]
+        assert "inf" in out
+        assert err.strip().splitlines() == ["rk: state not finite from t=1424"]
 
     def test_overflow_is_warning_free(self, capsys):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, _, err = run_cli(
-                capsys, "evolve", "--alpha", "-0.5", "--omega0", "1", "--i0", "1",
-                "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
-            )
-        assert code == 1
-        assert not caught and "RuntimeWarning" not in err
-        # the error is placed at the first non-finite exact state
-        assert "closed vs spectral: max error nan at t=1420 " in err
+        # the error is placed at the first non-finite exact state; at the gain EP
+        # the expm fallback overflows
+        for alpha, line in [
+            ("-0.5", "closed vs spectral: max error nan at t=1420 "),
+            ("-1", "expm vs rk: max error nan at t=704 "),
+        ]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run_cli(
+                    capsys, "evolve", "--alpha", alpha, "--omega0", "1", "--i0", "1",
+                    "--v0", "0", "--L", "1", "--t-max", "2000", "--dt", "4",
+                )
+            assert code == 1, alpha
+            assert not caught and "RuntimeWarning" not in err, alpha
+            assert line in err, alpha
 
     def test_refused_route_exit_2_with_one_line(self, capsys):
         # the closed form covers the broken phase only; (-2, 1) is gain UP

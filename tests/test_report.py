@@ -132,6 +132,13 @@ class TestGates:
             assert rk_pairs and all(np.isfinite(dyn[key]) for key in rk_pairs), w
             assert not [line for line in result.violations if "_vs_rk" in line], w
 
+    @pytest.mark.parametrize("zeta", [100.0, 1000.0])
+    def test_rk_pairs_hold_when_strongly_overdamped(self, zeta):
+        # the fast mode's rate is about 2*zeta*omega0: the RK step must resolve it
+        for w in 10.0 ** np.arange(-3, 7):
+            result = build_report(CircuitParams.from_rates(zeta * w, w))
+            assert not [line for line in result.violations if "_vs_rk" in line], w
+
     def test_every_registry_gate_is_reached_with_its_bound_read_at_call_time(self, monkeypatch):
         for name in TOLERANCES:
             monkeypatch.setitem(TOLERANCES, name, -1.0)
