@@ -9,7 +9,10 @@ Four subcommands, all emitting machine-readable output on stdout:
   route-agreement summary on stderr;
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
 
-Both CSV outputs are written by ``dynamics.write_rows``.
+Both CSV outputs are written by ``dynamics.write_rows``. Each handler imports
+the layers it runs: ``sweep`` loads ``circuit``, ``cxmat``, ``errors``,
+``spectral`` and ``dynamics``; ``mequiv`` loads ``mequiv`` and ``metric`` on
+top of the first four; ``analyze`` and ``evolve`` load every layer.
 
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
@@ -18,17 +21,12 @@ tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NoReturn
 
 import numpy as np
 
-from . import dynamics, mequiv
 from .circuit import CircuitParams, phase_of
-from .metric import solve_intertwiners
-from .report import build_report, cross_check, exceeds
-from .spectral import modes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,6 +92,10 @@ def _params_from_args(parser: _Parser, args) -> CircuitParams:
 
 
 def _cmd_analyze(parser: _Parser, args) -> int:
+    import json
+
+    from .report import build_report
+
     try:
         result = build_report(_params_from_args(parser, args))
     except ValueError as exc:
@@ -106,6 +108,9 @@ def _cmd_analyze(parser: _Parser, args) -> int:
 
 
 def _cmd_sweep(parser: _Parser, args) -> int:
+    from . import dynamics
+    from .spectral import modes
+
     if not np.all(np.isfinite([args.alpha_min, args.alpha_max, args.omega0])):
         parser.error("--alpha-min, --alpha-max and --omega0 must be finite")
     if not args.alpha_min < args.alpha_max:
@@ -116,7 +121,10 @@ def _cmd_sweep(parser: _Parser, args) -> int:
         parser.error("--omega0 must be positive")
     if not np.isfinite(args.alpha_max - args.alpha_min):
         parser.error("--alpha-max minus --alpha-min must be finite")
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    try:
+        alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
+    except MemoryError as exc:
+        parser.error(str(exc))
     with np.errstate(all="ignore"):  # a non-finite eigenvalue is refused below
         branches = modes(alphas, args.omega0)
     if not np.isfinite([branches.lambda_plus, branches.lambda_minus]).all():
@@ -131,11 +139,14 @@ def _cmd_sweep(parser: _Parser, args) -> int:
 
 
 def _cmd_evolve(parser: _Parser, args) -> int:
+    from . import dynamics
+    from .report import cross_check, exceeds
+
     try:
         params = CircuitParams.from_rates(args.alpha, args.omega0)
         init = dynamics.InitialData(i0=args.i0, v0=args.v0, inductance=args.L)
         grid = dynamics.uniform_grid(args.t_max, args.dt)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         parser.error(str(exc))
 
     try:
@@ -171,6 +182,11 @@ def _parse_matrix(flat: list[float]) -> np.ndarray:
 
 
 def _cmd_mequiv(parser: _Parser, args) -> int:
+    import json
+
+    from . import mequiv
+    from .metric import solve_intertwiners
+
     mat_a = _parse_matrix(args.matrix_a)
     mat_b = _parse_matrix(args.matrix_b)
     try:

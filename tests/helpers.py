@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and parameter draws.
+"""Shared test utilities: independent oracles, parameter draws and a new interpreter.
 
 The RK4 routine and the finite-difference stencil here are written from
 scratch so that kernel results (matrix exponentials, closed-form
@@ -8,9 +8,14 @@ nothing with the package implementation.
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import nhrlc
 from nhrlc import CircuitParams, classify, modes
 from nhrlc.mequiv import _coincidence
 
@@ -111,3 +116,14 @@ def reference_sweep_csv(omega0, alpha_min, alpha_max, steps):
             ]
         )
     return buf.getvalue()
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this package; require exit 0."""
+    path = [str(Path(nhrlc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc

@@ -10,7 +10,7 @@ import pytest
 from nhrlc import CircuitParams, build_report, eigensystem, report
 from nhrlc.cli import main
 
-from helpers import reference_sweep_csv
+from helpers import fresh_python, reference_sweep_csv
 
 SQ2 = np.sqrt(2.0)
 
@@ -657,3 +657,32 @@ class TestMequiv:
         with pytest.raises(SystemExit) as excinfo:
             main(["mequiv", "--matrix-a", "1", "0", "--matrix-b", "1", "0"])
         assert excinfo.value.code == 2
+
+
+# numpy refuses these grids outright: 1e12 samples are 7.3 TiB of float64
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--omega0", "1", "--alpha-min", "0", "--alpha-max", "1",
+     "--steps", "1000000000000"],
+    ["evolve", "--alpha", "0.3", "--omega0", "1", "--i0", "1", "--v0", "0", "--L", "1",
+     "--t-max", "1e-298", "--dt", "1e-310"],
+], ids=["sweep", "evolve"])
+def test_grid_too_large_to_allocate_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("nhrlc: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, layers", [
+    (["-m", "nhrlc.cli", "sweep", "--omega0", "1", "--alpha-min", "0", "--alpha-max", "2",
+      "--steps", "5"], {"circuit", "cxmat", "errors", "spectral", "dynamics"}),
+    (["-m", "nhrlc.cli", "mequiv", "--matrix-a", "1", "0", "0", "0", "0", "0", "1", "0",
+      "--matrix-b", "1", "0", "1", "0", "0", "0", "1", "0"],
+     {"circuit", "cxmat", "errors", "spectral", "mequiv", "metric"}),
+    (["-c", "import nhrlc"], set()),
+], ids=["sweep", "mequiv", "import nhrlc"])
+def test_a_subcommand_loads_only_the_layers_it_runs(args, layers):
+    stderr = fresh_python("-X", "importtime", *args).stderr
+    assert set(re.findall(r"\|\s+nhrlc\.(\w+)$", stderr, re.M)) == layers

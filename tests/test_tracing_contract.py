@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fresh_python
+
 TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -19,6 +21,13 @@ def _traced():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.TRACED
+
+
+def test_the_benchmark_imports_load_every_traced_layer():
+    # bench/run.py imports these before Tracer.install looks each layer up in sys.modules
+    code = "import sys, nhrlc, nhrlc.cli, nhrlc.report; print(*sorted(sys.modules))"
+    loaded = fresh_python("-c", code).stdout.split()
+    assert not [layer for layer in _traced() if f"nhrlc.{layer}" not in loaded]
 
 
 @pytest.mark.parametrize(
