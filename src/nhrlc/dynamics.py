@@ -131,7 +131,7 @@ def _substeps(span: float, step: float) -> int:
     """ceil(span/step), less a 1e-12 allowance for rounding, and at least 1."""
     ratio = span / step
     if not math.isfinite(ratio):
-        raise ValueError("interval / step must be finite")
+        raise ValueError("rk route: RK4 substep count overflows (interval / step must be finite)")
     return max(1, math.ceil(ratio - 1e-12))
 
 

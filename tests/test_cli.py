@@ -577,6 +577,19 @@ class TestEvolve:
         assert captured.out == ""
         assert captured.err == "nhrlc: error: t_max / dt must be finite\n"
 
+    @pytest.mark.parametrize("method", ["rk", "all"])
+    def test_overflowing_rk_substep_count_exit_2_with_one_line(self, capsys, method):
+        # near MAX_ALPHA the RK step is 1e-3/(2*alpha), about 5.6e-312 s, so one 0.1 s
+        # interval needs more substeps than the largest float; the grid itself is fine
+        argv = ["evolve", "--alpha", "8.9e307", "--omega0", "1", "--i0", "1", "--v0", "0",
+                "--L", "1", "--t-max", "1", "--dt", "0.1", "--method", method]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "nhrlc evolve: error: rk route: RK4 substep count overflows "
+            "(interval / step must be finite)\n"
+        )
+
 
 class TestMequiv:
     @staticmethod

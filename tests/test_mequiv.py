@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhrlc import (
     CircuitParams,
@@ -19,6 +21,7 @@ from nhrlc import (
     solve_intertwiners,
     trace_det,
 )
+from nhrlc import mequiv
 
 from helpers import balanced_residual, random_invertible
 
@@ -170,6 +173,140 @@ class TestCoincidenceRule:
         for a in mats:
             for b in mats:
                 assert self.verdicts(a * scale, b * scale) == self.verdicts(a, b)
+
+
+class TestDecisionCache:
+    """_coincidence keeps the last decision, keyed by the pair's bytes and the tolerance."""
+
+    @pytest.fixture
+    def decisions(self, monkeypatch):
+        """The pairs decided since the cache was cleared, as copies."""
+        decided, decide = [], mequiv._decide
+
+        def counted(a, b):
+            decided.append((a.copy(), b.copy()))
+            return decide(a, b)
+
+        monkeypatch.setattr(mequiv, "_decide", counted)
+        monkeypatch.setattr(mequiv, "_last", (None, None))
+        return decided
+
+    @staticmethod
+    def same(d1, d2):
+        """Equal decisions, the balanced pair bitwise (sign of zero included)."""
+        return d1[:3] == d2[:3] and d1[3].tobytes() == d2[3].tobytes() and d1[4] == d2[4]
+
+    def test_three_questions_make_one_decision(self, decisions):
+        h = hamiltonian(CircuitParams.from_rates(0.3, 1.0))
+        hg = gain_hamiltonian(CircuitParams.from_rates(0.3, 1.0))
+        assert not m_equivalent(h, hg) and not is_similar(h, hg) and not solve_intertwiners(h, hg)
+        assert len(decisions) == 1
+
+    def test_a_pair_changed_in_place_is_decided_again(self, decisions):
+        verdicts = TestCoincidenceRule.verdicts
+        h = hamiltonian(CircuitParams.from_rates(0.0, 1.0))
+        hd = h.conj().T
+        assert verdicts(h, hd) == (True, True, 2)
+        h[...] = hamiltonian(CircuitParams.from_rates(0.3, 1.0))
+        assert verdicts(h, hd) == (False, False, 0)
+        hd[...] = h.conj().T
+        assert verdicts(h, hd) == (False, False, 0)
+        hd[...] = h
+        assert verdicts(h, hd) == (True, True, 2)
+        assert len(decisions) == 4
+        np.testing.assert_array_equal(decisions[-1], [h, h])
+
+    def test_the_sign_of_a_zero_is_part_of_the_key(self, decisions):
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        first = mequiv._coincidence(a, SHEAR)
+        a[0, 0] = -0.0
+        second = mequiv._coincidence(a, SHEAR)
+        assert len(decisions) == 2 and first[:3] == second[:3]
+        assert not np.signbit(first[3][0, 0, 0].real) and np.signbit(second[3][0, 0, 0].real)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_a_refused_pair_is_refused_every_time_and_not_stored(self, decisions, entry):
+        kept = mequiv._coincidence(IDENTITY, SHEAR)
+        bad = IDENTITY.copy()
+        bad[1, 0] = entry
+        for ask in (m_equivalent, is_similar, solve_intertwiners, m_equivalent):
+            with pytest.raises(ValueError, match="finite"):
+                ask(bad, SHEAR)
+        assert mequiv._last[1] is kept
+        assert mequiv._coincidence(IDENTITY, SHEAR) is kept and len(decisions) == 1
+
+    def test_interleaved_pairs_equal_decisions_from_an_empty_cache(self, decisions):
+        a, b = SHEAR, 2.0 * IDENTITY + H_LOWER
+        seen = [mequiv._coincidence(x, y) for x, y in [(a, b), (b, a), (a, b)]]
+        assert len(decisions) == 3
+        for (x, y), got in zip([(a, b), (b, a), (a, b)], seen):
+            mequiv._last = (None, None)
+            assert self.same(got, mequiv._coincidence(x, y))
+
+    def test_the_balanced_pair_is_read_only(self, decisions):
+        *_, pair, undo = mequiv._coincidence(1e200 * SHEAR, H_LOWER)
+        assert isinstance(undo, tuple)
+        for arr in (pair, *pair):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pair[0, 0, 0] = 1.0
+        assert mequiv._coincidence(1e200 * SHEAR, H_LOWER)[3][0, 0, 0] != 1.0
+
+    def test_a_patched_tolerance_takes_effect_on_a_repeat_call(self, decisions, monkeypatch):
+        # the trace gap 2e-12 is twice the bound at 1e-12 and a fifth of it at 1e-11
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        shifted = np.array([[2e-12, 1.0], [0.0, 0.0]])
+        assert not m_equivalent(nilpotent, shifted)
+        monkeypatch.setattr(mequiv, "EQUIVALENCE_RTOL", 1e-11)
+        assert m_equivalent(nilpotent, shifted)
+        assert len(decisions) == 2
+
+
+def _entry(re, im, k):
+    return complex(re, im) * 10.0 ** k
+
+
+ENTRIES = st.builds(_entry, st.floats(-1, 1), st.floats(-1, 1), st.integers(-150, 150))
+MATRICES = st.lists(ENTRIES, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
+
+
+def _designed(kind, m, n, t, u):
+    """A pair of the given kind built from the random matrices m and n."""
+    lam, c = m[0, 0], n[0, 1]
+    if kind == "similar":
+        p = np.array([[1.0, t], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [u, 1.0]])
+        return m, p @ m @ np.linalg.inv(p)
+    if kind == "adjoint":
+        return m, m.conj().T
+    if kind == "jordan":
+        return lam * IDENTITY + c * np.array([[0.0, 1.0], [0.0, 0.0]]), lam * IDENTITY
+    if kind == "scalar":
+        return lam * IDENTITY, lam * IDENTITY
+    if kind == "equal":
+        return m, m.copy()
+    return m, n
+
+
+class TestCacheEquivalence:
+    """The three answers are the same with the decision cache warm as with it cleared."""
+
+    @staticmethod
+    def asked(a, b, cleared):
+        out = []
+        for ask in (m_equivalent, is_similar, solve_intertwiners):
+            if cleared or not out:
+                mequiv._last = (None, None)
+            out.append(ask(a, b))
+        return out[0], out[1], [x.tobytes() for x in out[2]]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["random", "similar", "adjoint", "jordan", "scalar", "equal"]),
+        MATRICES, MATRICES, st.floats(-2, 2), st.floats(-2, 2),
+    )
+    def test_warm_answers_are_the_cold_ones(self, kind, m, n, t, u):
+        a, b = _designed(kind, m, n, t, u)
+        assert self.asked(a, b, cleared=False) == self.asked(a, b, cleared=True)
 
 
 class TestIntertwinerVersusInvariants:
