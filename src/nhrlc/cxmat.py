@@ -5,6 +5,10 @@ exponential from the eigenvalues alone (Sylvester's formula, no inverse; a
 nilpotent split at a double eigenvalue), the unique positive square root of a
 positive Hermitian 2x2 matrix, and Faddeev-LeVerrier characteristic polynomials
 (which also give the 4x4 determinant). No iterative linear algebra is used.
+
+On 2x2 operands numpy's per-call cost outweighs the flops, so the kernels whose
+rounding feeds no tolerance gate work on Python complex scalars (helpers at the
+end); the gate-feeding ones keep numpy's arithmetic, which fuses multiply-adds.
 """
 
 from __future__ import annotations
@@ -133,18 +137,22 @@ def sqrt_pos_hermitian(m) -> np.ndarray:
 
     Raises :class:`NotPositiveHermitian` unless the input is Hermitian
     within ``HERMITICITY_ATOL`` (relative to its magnitude) with both
-    eigenvalues strictly positive.
+    eigenvalues strictly positive. It works on M / 4^k (largest part near 1)
+    and scales the root back by 2^k, so the determinant never over- or underflows.
     """
-    a = as_cmat(m, 2)
-    if np.abs(a - a.conj().T).max() > HERMITICITY_ATOL * np.abs(a).max():
+    entries = as_cmat(m, 2).ravel().tolist()
+    k = -2 * (math.frexp(max(max(abs(v.real), abs(v.imag)) for v in entries))[1] // 2)
+    w, x, y, z = (complex(math.ldexp(v.real, k), math.ldexp(v.imag, k)) for v in entries)
+    skew = max(abs(2 * w.imag), abs(x - y.conjugate()), abs(2 * z.imag))  # max |M - M^dag|
+    if skew > HERMITICITY_ATOL * max(abs(w), abs(x), abs(y), abs(z)):
         raise NotPositiveHermitian("matrix is not Hermitian")
-    h = (a + a.conj().T) / 2.0
-    tr = float(h[0, 0].real + h[1, 1].real)
-    det = float((h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]).real)
+    off, tr = (x + y.conjugate()) * 0.5, w.real + z.real  # h = (M + M^dag)/2
+    det = w.real * z.real - (off.real * off.real + off.imag * off.imag)
     if not (tr > 0.0 and det > 0.0):  # both eigenvalues positive; no difference cancels
         raise NotPositiveHermitian("matrix has a non-positive eigenvalue")
-    s = np.sqrt(det)
-    return (h + s * np.eye(2)) / np.sqrt(tr + 2.0 * s)
+    s = math.sqrt(det)
+    r = 1.0 / math.ldexp(math.sqrt(tr + 2.0 * s), k // 2)  # numpy divides by its reciprocal
+    return np.array([[(w.real + s) * r, off * r], [off.conjugate() * r, (z.real + s) * r]])
 
 
 def trace_det(m) -> tuple[complex, complex]:
@@ -199,3 +207,25 @@ def operator_norm(m) -> float:
     s_sum = math.hypot(p.real, p.imag, q.real, q.imag)
     s_diff = math.hypot(r.real, r.imag, s.real, s.imag)
     return unit * ((s_sum + s_diff) / 2.0)
+
+
+def _mul(a, b) -> tuple:
+    """Product of two 2x2 matrices given as row-major 4-sequences of scalars."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = a, b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _apply(a, v) -> tuple:
+    """Product of a row-major 2x2 4-sequence and a 2-sequence."""
+    return (a[0] * v[0] + a[1] * v[1], a[2] * v[0] + a[3] * v[1])
+
+
+def _adj(a) -> tuple:
+    """Conjugate transpose of a row-major 2x2 4-sequence."""
+    return (a[0].conjugate(), a[2].conjugate(), a[1].conjugate(), a[3].conjugate())
+
+
+def _norm2(v, w) -> float:
+    """Norm |v - w| of the difference of two complex 2-sequences, by hypot: nothing is squared."""
+    d0, d1 = v[0] - w[0], v[1] - w[1]
+    return math.hypot(d0.real, d0.imag, d1.real, d1.imag)

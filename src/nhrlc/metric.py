@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Phase
-from .cxmat import as_cmat, as_cvec2, operator_norm, outer
+from .cxmat import _apply, as_cmat, as_cvec2, operator_norm, outer
 from .mequiv import _coincidence
-from .spectral import BiorthogonalSystem, pairing
+from .spectral import BiorthogonalSystem
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,10 @@ def antilinear_u(system: BiorthogonalSystem, f) -> np.ndarray:
     U psi_pm = psi_mp, which is exactly what makes U H^dag U isospectral to
     H there.
     """
-    vec = as_cvec2(f)
-    return (
-        pairing(vec, system.phi_plus) * system.psi_plus
-        + pairing(vec, system.phi_minus) * system.psi_minus
-    )
+    f_bar = [v.conjugate() for v in as_cvec2(f).tolist()]
+    pairings = _apply(system.phi_plus.tolist() + system.phi_minus.tolist(), f_bar)  # <f, phi_pm>
+    (sp0, sp1), (sm0, sm1) = system.psi_plus.tolist(), system.psi_minus.tolist()
+    return np.array(_apply((sp0, sm0, sp1, sm1), pairings))
 
 
 def similar_hamiltonian_via_u(system: BiorthogonalSystem, h_dagger) -> np.ndarray:
@@ -101,11 +100,10 @@ def similar_hamiltonian_via_u(system: BiorthogonalSystem, h_dagger) -> np.ndarra
     :func:`metric_pair`; the antilinear U is only ever applied, never stored
     as a matrix.
     """
-    hd = as_cmat(h_dagger, 2)
-    cols = []
-    for basis_vec in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        cols.append(antilinear_u(system, hd @ antilinear_u(system, basis_vec)))
-    return np.column_stack(cols)
+    hd = as_cmat(h_dagger, 2).ravel().tolist()
+    cols = [antilinear_u(system, _apply(hd, antilinear_u(system, e).tolist())).tolist()
+            for e in ((1.0, 0.0), (0.0, 1.0))]
+    return np.array(list(zip(*cols)))
 
 
 def verify_intertwining(h, h_similar, pair: MetricPair) -> IntertwinerReport:

@@ -28,12 +28,12 @@ the opposite one in the unbroken phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import CircuitParams, Phase, classify
-from .cxmat import as_cmat, outer, sqrt_pos_hermitian
+from .cxmat import _adj, _apply, _mul, _norm2, as_cmat, sqrt_pos_hermitian
 from .errors import ExistenceViolation
 from .metric import MetricPair
 from .spectral import BiorthogonalSystem, eigensystem
@@ -44,12 +44,6 @@ PT_ATOL = 1e-12
 PARITY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # e1, e2, i*e1, i*e2 as columns: PT is antilinear, so these four settle [PT, H]
 PT_PROBES = np.array([[1.0, 0.0, 1j, 0.0], [0.0, 1.0, 0.0, 1j]])
-
-LADDER_RELATIONS = (
-    "c_phi_minus", "c_phi_plus", "cc_phi_minus", "cc_phi_plus",
-    "ccdag_psi_minus", "ccdag_psi_plus", "cdag_psi_minus", "cdag_psi_plus",
-    "nphi_phi_minus", "nphi_phi_plus", "npsi_psi_minus", "npsi_psi_plus",
-)
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,12 @@ def pf_identify(params: CircuitParams, branch: str = "plus") -> PseudoFermionPai
         rho, other = other, rho
     a, b = 1j * rho, 1j * other
     phi_m, phi_p, dual_m, dual_p = _ladder_basis(system, rho)
-    a12 = complex(outer(phi_m, dual_p)[0, 1])
-    b12 = complex(outer(phi_p, dual_m)[0, 1])
-    # pf_construct recomputes gamma from a12, b12; omega = i/gamma = i*(a - b)
+    # the [0, 1] entries of |phi-><dual(phi+)| and |phi+><dual(phi-)|, by numpy's product
+    a12, b12 = (np.array((phi_m[0], phi_p[0])) * np.conj((dual_p[1], dual_m[1]))).tolist()
+    # pf_construct recomputes gamma; omega = i/gamma = i*(a - b); pf is unshared: no copy
     pf = pf_construct(a, b, a12, b12, omega=1j * (a - b), rho=rho)
-    return replace(pf, phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p)
+    vars(pf).update(phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p)
+    return pf
 
 
 def hpf_build(pf: PseudoFermionPair) -> np.ndarray:
@@ -159,17 +154,20 @@ def ladder_check(pf: PseudoFermionPair, system: BiorthogonalSystem) -> dict[str,
     minus modes and fix the plus modes. The system must come from the same
     circuit parameters; its labels are branch-adapted internally.
     """
-    phi_m, phi_p, psi_m, psi_p = _ladder_basis(system, pf.rho)
+    phi_m, phi_p, psi_m, psi_p = (v.tolist() for v in _ladder_basis(system, pf.rho))
     c, cc = pf.c_op, pf.cc_op
-    cd, ccd = c.conj().T, cc.conj().T
-    n_phi = cc @ c
-    n_psi = cd @ ccd
-    residuals = np.array([
-        c @ phi_m, c @ phi_p - phi_m, cc @ phi_m - phi_p, cc @ phi_p,
-        ccd @ psi_m, ccd @ psi_p - psi_m, cd @ psi_m - psi_p, cd @ psi_p,
-        n_phi @ phi_m, n_phi @ phi_p - phi_p, n_psi @ psi_m, n_psi @ psi_p - psi_p,
-    ])
-    return dict(zip(LADDER_RELATIONS, np.linalg.norm(residuals, axis=1).tolist()))
+    # N_phi, N_psi stay numpy products: C c cancels, so its rounding must be numpy's
+    n_phi, n_psi = (cc @ c).ravel().tolist(), (c.conj().T @ cc.conj().T).ravel().tolist()
+    c, cc = c.ravel().tolist(), cc.ravel().tolist()
+    cd, ccd, zero = _adj(c), _adj(cc), (0.0, 0.0)
+    return {name: _norm2(_apply(op, v), image) for name, op, v, image in (
+        ("c_phi_minus", c, phi_m, zero), ("c_phi_plus", c, phi_p, phi_m),
+        ("cc_phi_minus", cc, phi_m, phi_p), ("cc_phi_plus", cc, phi_p, zero),
+        ("ccdag_psi_minus", ccd, psi_m, zero), ("ccdag_psi_plus", ccd, psi_p, psi_m),
+        ("cdag_psi_minus", cd, psi_m, psi_p), ("cdag_psi_plus", cd, psi_p, zero),
+        ("nphi_phi_minus", n_phi, phi_m, zero), ("nphi_phi_plus", n_phi, phi_p, phi_p),
+        ("npsi_psi_minus", n_psi, psi_m, zero), ("npsi_psi_plus", n_psi, psi_p, psi_p),
+    )}
 
 
 def fermionize(pf: PseudoFermionPair, pair: MetricPair) -> FermionizedSystem:
@@ -186,22 +184,25 @@ def fermionize(pf: PseudoFermionPair, pair: MetricPair) -> FermionizedSystem:
     """
     if pf.phi_minus is None or pf.phi_plus is None:
         raise ValueError("fermionize needs the ladder basis of a pf_identify pair")
-    root_psi = sqrt_pos_hermitian(pair.s_psi)
-    root_phi = sqrt_pos_hermitian(pair.s_phi)
-    a_op = root_psi @ pf.c_op @ root_phi
-    e_minus = root_psi @ pf.phi_minus
-    e_plus = root_psi @ pf.phi_plus
-    h_fho = pf.omega * (a_op.conj().T @ a_op) + pf.rho * np.eye(2, dtype=complex)
+    root_psi, root_phi = (sqrt_pos_hermitian(s).ravel().tolist() for s in (pair.s_psi, pair.s_phi))
+    a_op = _mul(_mul(root_psi, pf.c_op.ravel().tolist()), root_phi)
+    e_plus, e_minus = (np.array(_apply(root_psi, v.tolist())) for v in (pf.phi_plus, pf.phi_minus))
     return FermionizedSystem(
-        a_op=a_op, e_plus=e_plus, e_minus=e_minus,
-        h_fho=h_fho, h_susy=susy_partner(pf),
+        a_op=np.array(a_op).reshape(2, 2), e_plus=e_plus, e_minus=e_minus,
+        h_fho=_number_form(pf, _mul(_adj(a_op), a_op)), h_susy=susy_partner(pf),
     )
+
+
+def _number_form(pf: PseudoFermionPair, n) -> np.ndarray:
+    """omega * N + rho * 1 for a row-major 2x2 4-sequence N."""
+    w, rho = pf.omega, pf.rho
+    return np.array([[w * n[0] + rho, w * n[1]], [w * n[2], w * n[3] + rho]])
 
 
 def susy_partner(pf: PseudoFermionPair) -> np.ndarray:
     """H^S = omega * c C + rho * 1; same spectrum as H_PF with the
     eigenvalue roles of phi_pm swapped."""
-    return pf.omega * (pf.c_op @ pf.cc_op) + pf.rho * np.eye(2, dtype=complex)
+    return _number_form(pf, _mul(pf.c_op.ravel().tolist(), pf.cc_op.ravel().tolist()))
 
 
 def pt_probe(h, v) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ import numpy as np
 import nhrlc
 from nhrlc import CircuitParams, classify, modes
 from nhrlc.mequiv import _coincidence
+from nhrlc.pseudofermion import _ladder_basis
 
 
 def rk4_states(gen, state0, times, step):
@@ -75,6 +76,33 @@ def balanced_residual(a, b, x):
     y = x / np.ldexp(1.0, undo)
     s = max(np.abs(ab).max(), np.abs(bb).max())
     return float(np.abs(ab @ y - y @ bb).max() / (s * np.abs(y).max()))
+
+
+def ladder_reference(pf, system):
+    """ladder_check in numpy: one matrix-vector product and one norm per relation."""
+    phi_m, phi_p, psi_m, psi_p = _ladder_basis(system, pf.rho)
+    c, cc = pf.c_op, pf.cc_op
+    cd, ccd = c.conj().T, cc.conj().T
+    n_phi = cc @ c
+    n_psi = cd @ ccd
+
+    def r(vec) -> float:
+        return float(np.linalg.norm(vec))
+
+    return {
+        "c_phi_minus": r(c @ phi_m),
+        "c_phi_plus": r(c @ phi_p - phi_m),
+        "cc_phi_minus": r(cc @ phi_m - phi_p),
+        "cc_phi_plus": r(cc @ phi_p),
+        "ccdag_psi_minus": r(ccd @ psi_m),
+        "ccdag_psi_plus": r(ccd @ psi_p - psi_m),
+        "cdag_psi_minus": r(cd @ psi_m - psi_p),
+        "cdag_psi_plus": r(cd @ psi_p),
+        "nphi_phi_minus": r(n_phi @ phi_m),
+        "nphi_phi_plus": r(n_phi @ phi_p - phi_p),
+        "npsi_psi_minus": r(n_psi @ psi_m),
+        "npsi_psi_plus": r(n_psi @ psi_p - psi_p),
+    }
 
 
 def reference_trajectory_csv(traj):

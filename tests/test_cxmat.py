@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from nhrlc.spectral import modes
 from helpers import rk4_states
 
 SQ2 = np.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 # NaN, +inf and -inf, in the real and in the imaginary part
 NON_FINITE = [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)]
@@ -221,6 +223,13 @@ class TestSqrtPosHermitian:
             p = sqrt_pos_hermitian(m)
             assert np.abs(p @ m - m @ p).max() < 1e-12 * np.abs(m).max()
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e160, 1e200, 1e300])
+    def test_square_recovers_input_at_the_ends_of_the_float_range(self, scale):
+        # det = 1.75 scale^2 under- or overflows past about 1e154 unless M is scaled first
+        m = scale * np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+        p = sqrt_pos_hermitian(m)
+        assert np.abs(p @ p - m).max() <= 4 * EPS * np.abs(m).max()
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -242,23 +251,24 @@ def hermitian_verdict(m):
     return "positive"
 
 
+SCALE_FREE_CASES = [
+    np.diag([1.0, 2.0]),                       # distinct, a tie in imaginary parts
+    np.array([[1.0, 1.0], [0.0, 1.0]]),        # Jordan block, not Hermitian
+    np.eye(2),                                 # a multiple of the identity
+    np.array([[0.0, 1.0], [-1.0, -2.0]]),      # the EP generator in omega0 units
+    np.array([[1.0, 1.0], [1e-11, 1.0]]),      # inside the degenerate band
+    np.array([[1.0, 1.0], [1e-9, 1.0]]),       # just outside it
+    np.array([[2.0, 1j], [-1j, 2.0]]),         # positive Hermitian
+    np.array([[1.0, 2.0], [2.0, 1.0]]),        # Hermitian, one negative eigenvalue
+    np.array([[1 + 2j, 0.5], [0.3j, -1.0]]),
+]
+SCALE_FREE_IDS = [
+    "diag", "jordan", "identity", "ep", "in-band", "off-band", "hermitian", "indefinite", "complex",
+]
+
+
 class TestScaleFreeVerdicts:
-    @pytest.mark.parametrize(
-        "m",
-        [
-            np.diag([1.0, 2.0]),                       # distinct, a tie in imaginary parts
-            np.array([[1.0, 1.0], [0.0, 1.0]]),        # Jordan block, not Hermitian
-            np.eye(2),                                 # a multiple of the identity
-            np.array([[0.0, 1.0], [-1.0, -2.0]]),      # the EP generator in omega0 units
-            np.array([[1.0, 1.0], [1e-11, 1.0]]),      # inside the degenerate band
-            np.array([[1.0, 1.0], [1e-9, 1.0]]),       # just outside it
-            np.array([[2.0, 1j], [-1j, 2.0]]),         # positive Hermitian
-            np.array([[1.0, 2.0], [2.0, 1.0]]),        # Hermitian, one negative eigenvalue
-            np.array([[1 + 2j, 0.5], [0.3j, -1.0]]),
-        ],
-        ids=["diag", "jordan", "identity", "ep", "in-band", "off-band", "hermitian",
-             "indefinite", "complex"],
-    )
+    @pytest.mark.parametrize("m", SCALE_FREE_CASES, ids=SCALE_FREE_IDS)
     def test_power_of_two_multiples_get_the_same_verdicts(self, m):
         # each decision is relative to the matrix's own scale, and scaling by 2^k is exact
         base = eig2(m)
@@ -269,6 +279,19 @@ class TestScaleFreeVerdicts:
             np.testing.assert_allclose(got.values, s * np.array(base.values), rtol=1e-15)
             np.testing.assert_allclose(got.vectors, base.vectors, rtol=1e-15, atol=1e-300)
             assert hermitian_verdict(s * m) == hermitian_verdict(m), k
+
+    @pytest.mark.parametrize("m", SCALE_FREE_CASES, ids=SCALE_FREE_IDS)
+    def test_square_root_verdicts_across_the_float_range(self, m):
+        # sqrt_pos_hermitian works on M / 4^k; 2^k M is exact while every nonzero part is normal
+        parts = [abs(x) for x in np.concatenate([m.real.ravel(), m.imag.ravel()]) if x]
+        low = -1021 - math.frexp(min(parts))[1]
+        high = 1023 - math.frexp(max(parts))[1]
+        verdict = hermitian_verdict(m)
+        for k in range(low + low % 2, high + 1, 2):
+            assert hermitian_verdict(2.0**k * m) == verdict, k
+            if verdict == "positive":
+                root = sqrt_pos_hermitian(2.0**k * m) * 2.0 ** (-k // 2)
+                assert np.abs(root @ root - m).max() <= 4 * EPS * np.abs(m).max(), k
 
     def test_expm_of_a_small_diagonal(self):
         got = expm(np.diag([1e-6, 2e-6]), 1e6)

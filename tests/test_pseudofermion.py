@@ -24,9 +24,9 @@ from nhrlc import (
     sqrt_pos_hermitian,
     susy_partner,
 )
-from nhrlc.pseudofermion import PT_PROBES, _ladder_basis
+from nhrlc.pseudofermion import PT_PROBES
 
-from helpers import draw_params
+from helpers import draw_params, ladder_reference
 
 SQ2 = np.sqrt(2.0)
 
@@ -41,33 +41,6 @@ EQUIVALENCE_POINTS = [
     CircuitParams.from_rates(alpha, 1.0)
     for alpha in (0.3, 1.25, 3.0, -0.3, -0.999, 1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9)
 ] + [BP_REF, UP_REF]
-
-
-def ladder_reference(pf, system):
-    """ladder_check as one matrix-vector product and one norm per relation."""
-    phi_m, phi_p, psi_m, psi_p = _ladder_basis(system, pf.rho)
-    c, cc = pf.c_op, pf.cc_op
-    cd, ccd = c.conj().T, cc.conj().T
-    n_phi = cc @ c
-    n_psi = cd @ ccd
-
-    def r(vec) -> float:
-        return float(np.linalg.norm(vec))
-
-    return {
-        "c_phi_minus": r(c @ phi_m),
-        "c_phi_plus": r(c @ phi_p - phi_m),
-        "cc_phi_minus": r(cc @ phi_m - phi_p),
-        "cc_phi_plus": r(cc @ phi_p),
-        "ccdag_psi_minus": r(ccd @ psi_m),
-        "ccdag_psi_plus": r(ccd @ psi_p - psi_m),
-        "cdag_psi_minus": r(cd @ psi_m - psi_p),
-        "cdag_psi_plus": r(cd @ psi_p),
-        "nphi_phi_minus": r(n_phi @ phi_m),
-        "nphi_phi_plus": r(n_phi @ phi_p - phi_p),
-        "npsi_psi_minus": r(n_psi @ psi_m),
-        "npsi_psi_plus": r(n_psi @ psi_p - psi_p),
-    }
 
 
 def anticommutator(x, y):

@@ -2,7 +2,9 @@
 
 ``bench/tracing.py`` lists, per module of the package, the functions the
 benchmark wraps. A name that is deleted or renamed still lets an untraced
-benchmark run pass, so the contract is checked here.
+benchmark run pass, so the contract is checked here. A traced function is
+timed only while something the benchmark runs still calls it, so the kernels
+that reach traced names only through one another keep those calls.
 """
 
 import importlib
@@ -36,3 +38,34 @@ def test_the_benchmark_imports_load_every_traced_layer():
 def test_traced_name_is_a_callable_of_its_layer(layer, name):
     module = importlib.import_module(f"nhrlc.{layer}")
     assert callable(getattr(module, name, None)), f"nhrlc.{layer}.{name}"
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls a module makes through its global ``name``."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_kernels_still_call_their_traced_callees(monkeypatch):
+    # the benchmark reaches these traced names only through the kernels that call them
+    from nhrlc import CircuitParams, eigensystem, gain_hamiltonian, metric, positive_pair
+    from nhrlc import pseudofermion
+
+    params = CircuitParams.from_rates(0.3, 1.0)
+    system = eigensystem(params)
+    construct = _count_calls(monkeypatch, pseudofermion, "pf_construct")
+    pf = pseudofermion.pf_identify(params, "plus")
+    assert len(construct) == 1
+    roots = _count_calls(monkeypatch, pseudofermion, "sqrt_pos_hermitian")
+    partner = _count_calls(monkeypatch, pseudofermion, "susy_partner")
+    pseudofermion.fermionize(pf, positive_pair(system))
+    assert (len(roots), len(partner)) == (2, 1)
+    maps = _count_calls(monkeypatch, metric, "antilinear_u")
+    metric.similar_hamiltonian_via_u(system, gain_hamiltonian(params))
+    assert len(maps) == 4
