@@ -35,6 +35,13 @@ MAX_OMEGA0 = float(np.sqrt(np.finfo(float).max))  # omega0^2 is in H: keep it fi
 MAX_ALPHA = float(np.finfo(float).max) / 2  # so is 2*alpha
 
 
+def finite_real(*values) -> bool:
+    """math.isfinite of every value; a complex one, numpy's too, is a TypeError."""
+    if any(isinstance(v, (complex, np.complexfloating)) for v in values):
+        raise TypeError("expected real numbers, got a complex one")
+    return all(map(math.isfinite, values))
+
+
 class Phase(enum.Enum):
     """Dynamical phase of the circuit generator."""
 
@@ -60,13 +67,13 @@ class CircuitParams:
     capacitance: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.alpha) or not np.isfinite(self.omega0):
+        if not finite_real(self.alpha, self.omega0):
             raise ValueError("alpha and omega0 must be finite")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
-        if self.omega0 > MAX_OMEGA0:
+        if float(self.omega0) > MAX_OMEGA0:  # against a float32 the bound overflows
             raise ValueError(f"omega0 must be at most {MAX_OMEGA0:.4g}, where omega0^2 overflows")
-        if abs(self.alpha) > MAX_ALPHA:
+        if abs(float(self.alpha)) > MAX_ALPHA:
             raise ValueError(f"|alpha| must be at most {MAX_ALPHA:.4g}, where 2*alpha overflows")
 
     @classmethod

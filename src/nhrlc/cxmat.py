@@ -9,10 +9,12 @@ positive Hermitian 2x2 matrix, and Faddeev-LeVerrier characteristic polynomials
 On 2x2 operands numpy's per-call cost outweighs the flops, so the kernels whose
 rounding feeds no tolerance gate work on Python complex scalars (helpers at the
 end); the gate-feeding ones keep numpy's arithmetic, which fuses multiply-adds.
+The finite checks of as_cmat and as_cvec2 run cmath.isfinite on the entries.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import NamedTuple
 
@@ -35,7 +37,7 @@ def as_cmat(m, size: int) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
     if out.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got shape {out.shape}")
-    if not np.isfinite(out).all():
+    if not all(map(cmath.isfinite, out.flat)):
         raise ValueError("matrix entries must be finite")
     return out
 
@@ -45,7 +47,7 @@ def as_cvec2(v) -> np.ndarray:
     out = np.asarray(v, dtype=complex).reshape(-1)
     if out.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {np.shape(v)}")
-    if not np.isfinite(out).all():
+    if not all(map(cmath.isfinite, out.flat)):
         raise ValueError("vector entries must be finite")
     return out
 

@@ -19,6 +19,9 @@
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
 
+The generator -iH and Phi(0) are real, so every route returns real float64
+(n, 2) states; spectral and expm drop their complex sums' imaginary residue.
+
 State convention: x1 is the current, x2 its derivative; the initial state is
 (I0, -alpha*I0 - V0/L) where V0 is the accumulated capacitor voltage.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CircuitParams, Phase, classify, hamiltonian
+from .circuit import CircuitParams, Phase, classify, finite_real, hamiltonian
 from .cxmat import expm
 from .errors import ExceptionalPointError, GridMismatch, PhaseUnsupported
 from .spectral import eigensystem, expand
@@ -45,7 +48,7 @@ class InitialData:
     inductance: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.i0) and np.isfinite(self.v0) and np.isfinite(self.inductance)):
+        if not finite_real(self.i0, self.v0, self.inductance):
             raise ValueError("initial data must be finite")
         if self.inductance <= 0:
             raise ValueError("inductance must be positive")
@@ -53,21 +56,21 @@ class InitialData:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled evolution: times, complex 2-vector states, and method tag."""
+    """Sampled evolution: times, real 2-vector states (x1, x2), and method tag."""
 
     times: np.ndarray
-    states: np.ndarray  # shape (len(times), 2)
+    states: np.ndarray  # float64, shape (len(times), 2)
     method: str
 
 
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     """Inclusive uniform grid from 0 to t_max with step dt."""
-    if not (np.isfinite(t_max) and np.isfinite(dt)):
+    if not finite_real(t_max, dt):
         raise ValueError("t_max and dt must be finite")
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
     ratio = t_max / dt
-    if not np.isfinite(ratio):
+    if not math.isfinite(ratio):
         raise ValueError("t_max / dt must be finite")
     n = int(round(ratio))
     return np.linspace(0.0, n * dt, n + 1)
@@ -89,7 +92,7 @@ def evolve_closed_form(params: CircuitParams, init: InitialData, times) -> Traje
     ts = np.asarray(times, dtype=float)
     amp_cos = init.i0
     amp_sin = -init.v0 / (init.inductance * wd)
-    states = np.empty((ts.size, 2), dtype=complex)
+    states = np.empty((ts.size, 2))
     with np.errstate(over="ignore", invalid="ignore"):  # a gain overflow fails the gates
         decay = np.exp(-alpha * ts)
         cos, sin = np.cos(wd * ts), np.sin(wd * ts)
@@ -117,14 +120,15 @@ def evolve_spectral(params: CircuitParams, init: InitialData, times) -> Trajecto
         w0 = params.omega0
         gen = [[0.0, 1.0], [-1.0, -2.0 * params.alpha / w0]]
         with np.errstate(over="ignore", invalid="ignore"):  # a gain overflow fails the gates
-            states = expm(gen, w0 * ts) @ (state0 / [1.0, w0]) * [1.0, w0]
-        return Trajectory(times=ts, states=states, method="expm")
+            prop, (u0, u1) = expm(gen, w0 * ts), state0 / [1.0, w0]
+            states = (prop[:, :, 0] * u0 + prop[:, :, 1] * u1) * [1.0, w0]
+        return Trajectory(times=ts, states=states.real.copy(), method="expm")
     b_plus, b_minus = expand(system, state0)
     with np.errstate(over="ignore", invalid="ignore"):  # a gain overflow fails the gates
         phases_p = np.exp(-1j * system.lambda_plus * ts)[:, None]
         phases_m = np.exp(-1j * system.lambda_minus * ts)[:, None]
         states = b_plus * phases_p * system.phi_plus + b_minus * phases_m * system.phi_minus
-    return Trajectory(times=ts, states=states, method="spectral")
+    return Trajectory(times=ts, states=states.real.copy(), method="spectral")
 
 
 def _substeps(span: float, step: float) -> int:
@@ -239,21 +243,19 @@ def evolve_integrated(
                 if length not in props:
                     props[length] = _interval_minus_one(h, length, step)
                 x[:, k + 1] = x[:, k] + props[length].dot(x[:, k])
-    states = x.T[full.size - ts.size:].astype(complex, order="C")
+    states = x.T[full.size - ts.size:].copy()
     return Trajectory(times=ts, states=states, method="integrated")
 
 
 def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
     """(max state distance over the grid, time where it occurs); a non-finite
     max (NaN if any distance is NaN) is placed at the first non-finite one."""
-    if traj_a.times.shape != traj_b.times.shape or not np.array_equal(
-        traj_a.times, traj_b.times
-    ):
+    if traj_a.times.shape != traj_b.times.shape or not (traj_a.times == traj_b.times).all():
         raise GridMismatch("trajectories are sampled on different time grids")
     with np.errstate(over="ignore", invalid="ignore"):
         dist = np.hypot(*np.abs(traj_a.states - traj_b.states).T)  # no squares to overflow
-    err = float(np.max(dist))  # NaN if any distance is NaN
-    idx = int(np.argmax(dist)) if np.isfinite(err) else int(np.argmin(np.isfinite(dist)))
+    err = float(dist.max())  # NaN if any distance is NaN
+    idx = int(dist.argmax()) if math.isfinite(err) else int(np.argmin(np.isfinite(dist)))
     return err, float(traj_a.times[idx])
 
 
@@ -275,7 +277,7 @@ def write_rows(fh, header: str, columns, tags) -> None:
 def write_csv(traj: Trajectory, fh) -> None:
     """Write the trajectory as CSV by :func:`write_rows`, tagged by its method."""
     times = np.asarray(traj.times, dtype=float)
-    x1, x2 = np.asarray(traj.states, dtype=complex).T
+    x1, x2 = np.asarray(traj.states).T  # .imag of real states is 0.0
     write_rows(
         fh, "t,re_x1,im_x1,re_x2,im_x2,method",
         (times, x1.real, x1.imag, x2.real, x2.imag), [traj.method] * times.size,

@@ -95,8 +95,7 @@ def c2j(z) -> dict:
 
 
 def m2j(m) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[c2j(v) for v in row] for row in a]
+    return [[c2j(v) for v in row] for row in np.asarray(m, dtype=complex).tolist()]
 
 
 class ReportResult(NamedTuple):

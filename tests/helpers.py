@@ -16,9 +16,19 @@ from pathlib import Path
 import numpy as np
 
 import nhrlc
-from nhrlc import CircuitParams, classify, modes
+from nhrlc import (
+    CircuitParams, ExceptionalPointError, classify, eigensystem, expand, expm, initial_state, modes,
+)
 from nhrlc.mequiv import _coincidence
 from nhrlc.pseudofermion import _ladder_basis
+
+
+# Real inputs of every kind the finite checks see: Python and numpy scalars,
+# subnormal, huge, infinite and NaN.
+REAL_VALUES = [
+    0, 3, -2.5, True, np.float64(0.3), np.float32(-0.25), np.int64(2), 5e-324, 1e308,
+    np.inf, -np.inf, np.nan, np.float64(-np.inf), np.float32(np.nan),
+]
 
 
 def rk4_states(gen, state0, times, step):
@@ -40,6 +50,30 @@ def rk4_states(gen, state0, times, step):
             y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out[k] = y
     return out
+
+
+def complex_spectral_states(params, init, times):
+    """The spectral route's complex states, in the complex form the route sums.
+
+    Away from the EP, b+ e^{-i lambda+ t} phi+ + b- e^{-i lambda- t} phi-;
+    at the EP, the Jordan-split exp(-iHt) Phi(0) applied as the stacked matmul
+    ``expm(G, omega0*t) @ (Phi(0) / (1, omega0)) * (1, omega0)``. The route
+    returns the real part of either.
+    """
+    ts = np.asarray(times, dtype=float)
+    state0 = initial_state(init, params)
+    try:
+        system = eigensystem(params)
+    except ExceptionalPointError:
+        w0 = params.omega0
+        gen = [[0.0, 1.0], [-1.0, -2.0 * params.alpha / w0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return expm(gen, w0 * ts) @ (state0 / [1.0, w0]) * [1.0, w0]
+    b_plus, b_minus = expand(system, state0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases_p = np.exp(-1j * system.lambda_plus * ts)[:, None]
+        phases_m = np.exp(-1j * system.lambda_minus * ts)[:, None]
+        return b_plus * phases_p * system.phi_plus + b_minus * phases_m * system.phi_minus
 
 
 def deriv5(values, dt):

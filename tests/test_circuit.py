@@ -15,7 +15,7 @@ from nhrlc import (
 )
 from nhrlc.circuit import MAX_ALPHA, MAX_OMEGA0
 
-from helpers import deriv5, rk4_states
+from helpers import REAL_VALUES, deriv5, rk4_states
 
 SQ2 = np.sqrt(2.0)
 
@@ -67,6 +67,26 @@ class TestCircuitParams:
             CircuitParams.from_rlc(1e308, 0.5, 1.0)
         edge = CircuitParams.from_rates(-MAX_ALPHA, 1.0)
         assert np.all(np.isfinite(hamiltonian(edge)))
+
+    @pytest.mark.parametrize("alpha, omega0", [
+        (1j, 1.0), (0.5, 1j), (complex(0.5, 0.0), 1.0), (np.complex128(0.5), 1.0), (0.5, np.complex64(1.0)),
+    ])
+    def test_rejects_complex_rates(self, alpha, omega0):
+        # np.isfinite(1j) is True; a complex alpha of modulus omega0 classified as EP
+        with pytest.raises(TypeError, match="complex"):
+            CircuitParams(alpha=alpha, omega0=omega0)
+
+    @pytest.mark.parametrize("value", REAL_VALUES)
+    def test_finite_verdicts_on_real_rates_are_numpys(self, value):
+        for kwargs in ({"alpha": value, "omega0": 1.0}, {"alpha": 0.5, "omega0": value}):
+            if np.isfinite(value):
+                try:
+                    CircuitParams(**kwargs)
+                except ValueError as exc:  # a sign or overflow refusal, not a finite one
+                    assert "finite" not in str(exc)
+            else:
+                with pytest.raises(ValueError, match="^alpha and omega0 must be finite$"):
+                    CircuitParams(**kwargs)
 
 
 class TestHamiltonian:

@@ -68,6 +68,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="^vector entries must be finite$"):
             as_cvec2(v)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -0.0, 1.0])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_finite_verdicts_and_messages_match_numpy(self, value, part, size):
+        # the scalar check against numpy's: NaN/inf refused, subnormals and -0.0 kept
+        for index in range(size * size):
+            m = np.ones((size, size), dtype=complex)
+            m.flat[index] = complex(value, 0.0) if part == "real" else complex(0.0, value)
+            cases = [(lambda: as_cmat(m, size), m, "matrix")]
+            if size == 2:
+                v = m[0] if index < 2 else m[1]
+                cases.append((lambda: as_cvec2(v), v, "vector"))
+            for call, arg, kind in cases:
+                if np.isfinite(arg).all():
+                    assert call().tobytes() == arg.tobytes()
+                else:
+                    with pytest.raises(ValueError, match=f"^{kind} entries must be finite$"):
+                        call()
+
 
 class TestEig2:
     def test_hermitian_pauli_type(self):

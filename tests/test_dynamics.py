@@ -15,10 +15,13 @@ from nhrlc import (
     Phase,
     PhaseUnsupported,
     Trajectory,
+    classify,
     compare,
+    eigensystem,
     evolve_closed_form,
     evolve_integrated,
     evolve_spectral,
+    expand,
     gain_hamiltonian,
     hamiltonian,
     initial_state,
@@ -26,8 +29,9 @@ from nhrlc import (
     uniform_grid,
     write_csv,
 )
+from nhrlc.report import cross_check, route_agreement
 
-from helpers import draw_params, reference_trajectory_csv
+from helpers import REAL_VALUES, complex_spectral_states, draw_params, reference_trajectory_csv
 
 SQ2 = np.sqrt(2.0)
 
@@ -35,6 +39,7 @@ BP_REF = CircuitParams.from_rates(1 / SQ2, 1.0)
 UP_REF = CircuitParams.from_rates(5 / 4, 3 / 4)
 EP_REF = CircuitParams.from_rates(2.0, 2.0)
 GAIN_REF = CircuitParams.from_rates(-0.3, 1.0)
+GAIN_EP = CircuitParams.from_rates(-2.0, 2.0)
 
 REST = InitialData(i0=1.0, v0=0.0, inductance=1.0)
 
@@ -54,6 +59,25 @@ class TestInitialState:
         with pytest.raises(ValueError, match="initial data must be finite"):
             InitialData(i0=np.nan, v0=0.0, inductance=1.0)
 
+    @pytest.mark.parametrize("field", ["i0", "v0", "inductance"])
+    def test_rejects_complex_data(self, field):
+        kwargs = {"i0": 1.0, "v0": 0.0, "inductance": 1.0, field: 1j}
+        with pytest.raises(TypeError, match="complex"):
+            InitialData(**kwargs)
+
+    @pytest.mark.parametrize("value", REAL_VALUES)
+    def test_finite_verdicts_on_real_data_are_numpys(self, value):
+        for field in ("i0", "v0", "inductance"):
+            kwargs = {"i0": 1.0, "v0": 0.0, "inductance": 1.0, field: value}
+            if np.isfinite(value):
+                try:
+                    InitialData(**kwargs)
+                except ValueError as exc:
+                    assert str(exc) == "inductance must be positive"
+            else:
+                with pytest.raises(ValueError, match="^initial data must be finite$"):
+                    InitialData(**kwargs)
+
 
 class TestUniformGrid:
     def test_inclusive_endpoints(self):
@@ -72,6 +96,23 @@ class TestUniformGrid:
     def test_rejects_non_finite_inputs(self, t_max, dt):
         with pytest.raises(ValueError, match="finite"):
             uniform_grid(t_max, dt)
+
+    @pytest.mark.parametrize("t_max, dt", [(1j, 0.01), (10.0, 0.01 + 0j), (np.complex128(10.0), 0.01)])
+    def test_rejects_complex_inputs(self, t_max, dt):
+        with pytest.raises(TypeError, match="complex"):
+            uniform_grid(t_max, dt)
+
+    @pytest.mark.parametrize("value", REAL_VALUES)
+    def test_finite_verdicts_on_real_inputs_are_numpys(self, value):
+        for t_max, dt in ((value, 0.01), (10.0, value)):
+            if np.isfinite(value):
+                try:
+                    uniform_grid(t_max, dt)
+                except ValueError as exc:
+                    assert str(exc) in ("t_max and dt must be positive", "t_max / dt must be finite")
+            else:
+                with pytest.raises(ValueError, match="^t_max and dt must be finite$"):
+                    uniform_grid(t_max, dt)
 
     @pytest.mark.parametrize("t_max, dt", [(1e300, 1e-300), (1e308, 0.5)])
     def test_rejects_an_overflowing_ratio(self, t_max, dt):
@@ -136,9 +177,16 @@ class TestSpectral:
         assert err < 1e-10
 
     def test_real_current_for_real_data(self):
+        # the route keeps the real part of the biorthogonal sum; that sum is real
+        # only because phi- is phi+'s conjugate partner (and b-, lambda- follow)
         grid = uniform_grid(10.0, 0.01)
-        traj = evolve_spectral(BP_REF, REST, grid)
-        assert np.abs(traj.states[:, 0].imag).max() < 1e-10
+        system = eigensystem(BP_REF)
+        b_plus, b_minus = expand(system, initial_state(REST, BP_REF))
+        phases_p = np.exp(-1j * system.lambda_plus * grid)[:, None]
+        phases_m = np.exp(-1j * system.lambda_minus * grid)[:, None]
+        states = b_plus * phases_p * system.phi_plus + b_minus * phases_m * system.phi_minus
+        assert np.abs(states.imag).max() < 1e-10
+        assert np.array_equal(evolve_spectral(BP_REF, REST, grid).states, states.real)
 
     def test_overdamped_monotone_after_derivative_zero(self):
         grid = uniform_grid(10.0, 0.01)
@@ -159,7 +207,6 @@ class TestSpectral:
         err, _ = compare(traj, rk)
         assert err < 1e-6
 
-
     @pytest.mark.parametrize("alpha", [1e154, 1.0, 3e-5, 1e-150])
     def test_exceptional_point_matches_the_jordan_solution(self, alpha):
         # x1 = e^{-s}(1 - s/2), s = alpha*t, for I'(0) = -1.5*alpha; eig2 never sees omega0^2
@@ -173,6 +220,7 @@ class TestSpectral:
         err = np.abs(traj.states - expected).max(axis=0)
         assert traj.method == "expm"
         assert np.all(err <= 1e-14 * np.abs(expected).max(axis=0))
+
 
 class TestIntegrated:
     def test_norm_conserved_for_hermitian_generator(self):
@@ -499,6 +547,12 @@ class TestCompare:
         with pytest.raises(GridMismatch):
             compare(a, b)
 
+    def test_a_nan_time_is_a_grid_mismatch_even_on_one_grid(self):
+        grid = np.array([0.0, np.nan, 1.0])
+        traj = Trajectory(grid, np.zeros((3, 2)), "a")
+        with pytest.raises(GridMismatch):
+            compare(traj, traj)
+
     def test_non_finite_error_placed_at_first_non_finite_distance(self):
         grid = uniform_grid(5.0, 1.0)
         a = Trajectory(times=grid, states=np.zeros((grid.size, 2), dtype=complex), method="a")
@@ -515,6 +569,74 @@ class TestCompare:
         b = Trajectory(times=grid, states=-big, method="b")
         err, at = compare(a, b)
         assert err == pytest.approx(2e200 * SQ2, rel=1e-15) and at == 0.0
+
+
+REAL_POINTS = [BP_REF, UP_REF, EP_REF, GAIN_REF, GAIN_EP]
+REAL_IDS = ["BP", "UP", "EP", "gain", "gain-EP"]
+REAL_GRIDS = [uniform_grid(10.0, 0.01), np.linspace(0.35, 4.0, 301)]
+
+
+def all_routes(params, grid):
+    """Every route that covers the point, on one grid."""
+    routes = [evolve_spectral(params, REST, grid), evolve_integrated(params, REST, grid, step=1e-3)]
+    if classify(params) is Phase.BROKEN:
+        routes.append(evolve_closed_form(params, REST, grid))
+    return routes
+
+
+class TestRealStates:
+    """-iH and Phi(0) are real: every route returns real float64 states."""
+
+    @pytest.mark.parametrize("grid", REAL_GRIDS, ids=["report", "late-start"])
+    @pytest.mark.parametrize("params", REAL_POINTS, ids=REAL_IDS)
+    def test_every_route_returns_real_contiguous_states(self, params, grid):
+        for traj in all_routes(params, grid):
+            assert traj.states.dtype == np.float64, traj.method
+            assert traj.states.shape == (grid.size, 2) and traj.states.flags.c_contiguous
+
+    @pytest.mark.parametrize("grid", REAL_GRIDS, ids=["report", "late-start"])
+    @pytest.mark.parametrize("params", REAL_POINTS, ids=REAL_IDS)
+    def test_spectral_states_are_the_real_part_of_the_complex_sum(self, params, grid):
+        got = evolve_spectral(params, REST, grid).states
+        assert got.tobytes() == complex_spectral_states(params, REST, grid).real.copy().tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+        st.lists(st.floats(min_value=1e-4, max_value=0.5), min_size=0, max_size=60),
+    )
+    def test_ep_columns_are_bitwise_the_stacked_matmul(self, sign, w0, i0, v0, start, spans):
+        # the EP route sums the propagator's columns; the reference applies it by matmul
+        params, init = CircuitParams.from_rates(sign * w0, w0), InitialData(i0, v0, 1.0)
+        grid = start + np.cumsum(np.concatenate([[0.0], spans])) / w0
+        traj = evolve_spectral(params, init, grid)
+        assert traj.method == "expm"
+        assert traj.states.tobytes() == complex_spectral_states(params, init, grid).real.tobytes()
+
+    @pytest.mark.parametrize("params", REAL_POINTS, ids=REAL_IDS)
+    def test_route_pairs_do_not_grow_on_real_states(self, params):
+        # dropping the spectral sum's imaginary residue can only shrink a distance
+        grid = uniform_grid(10.0, 0.01)
+        routes, pairs = cross_check(params, REST, grid)
+        complex_routes = {
+            name: Trajectory(grid, traj.states.astype(complex), traj.method) for name, traj in routes.items()
+        }
+        spectral = next(name for name in routes if name in ("spectral", "expm"))
+        complex_routes[spectral] = Trajectory(grid, complex_spectral_states(params, REST, grid), spectral)
+        before = route_agreement(complex_routes, 1e-3)
+        assert [p[:2] for p in pairs] == [p[:2] for p in before]
+        for (a, b, err, _, _), (_, _, err_before, _, _) in zip(pairs, before):
+            assert err <= err_before, (a, b)
+
+    def test_csv_prints_zero_imaginary_fields(self):
+        buf = io.StringIO()
+        write_csv(evolve_spectral(BP_REF, REST, uniform_grid(10.0, 0.01)), buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        assert len(rows) == 1001 and all(r[2] == r[4] == "0.0" for r in rows)
 
 
 class TestPhysicalBounds:
