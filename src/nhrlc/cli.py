@@ -10,9 +10,9 @@ Four subcommands, all emitting machine-readable output on stdout:
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
 
 Both CSV outputs are written by ``dynamics.write_rows``. Each handler imports
-the layers it runs: ``sweep`` loads ``circuit``, ``cxmat``, ``errors``,
-``spectral`` and ``dynamics``; ``mequiv`` loads ``mequiv`` and ``metric`` on
-top of the first four; ``analyze`` and ``evolve`` load every layer.
+the layers it runs: ``sweep`` and ``evolve`` load ``circuit``, ``cxmat``,
+``errors``, ``spectral`` and ``dynamics``; ``mequiv`` loads ``mequiv`` and
+``metric`` on top of the first four; ``analyze`` loads all nine.
 
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
@@ -140,7 +140,7 @@ def _cmd_sweep(parser: _Parser, args) -> int:
 
 def _cmd_evolve(parser: _Parser, args) -> int:
     from . import dynamics
-    from .report import cross_check, exceeds
+    from .errors import exceeds
 
     try:
         params = CircuitParams.from_rates(args.alpha, args.omega0)
@@ -150,7 +150,7 @@ def _cmd_evolve(parser: _Parser, args) -> int:
         parser.error(str(exc))
 
     try:
-        trajectories, agreement = cross_check(params, init, grid, method=args.method)
+        trajectories, agreement = dynamics.cross_check(params, init, grid, method=args.method)
     except ValueError as exc:  # a route refusing this phase or point
         print(f"nhrlc evolve: error: {exc}", file=sys.stderr)
         return 2

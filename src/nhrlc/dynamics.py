@@ -19,6 +19,10 @@
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
 
+cross_check runs the routes on one grid for both ``analyze`` and ``evolve``, and
+route_agreement bounds each pair: closed vs spectral by the registry entry
+closed_vs_spectral, pairs with RK by rk_tolerance at the dimensionless step r*h.
+
 The generator -iH and Phi(0) are real, so every route returns real float64
 (n, 2) states; spectral and expm drop their complex sums' imaginary residue.
 
@@ -28,6 +32,7 @@ State convention: x1 is the current, x2 its derivative; the initial state is
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +40,7 @@ import numpy as np
 
 from .circuit import CircuitParams, Phase, classify, finite_real, hamiltonian
 from .cxmat import expm
-from .errors import ExceptionalPointError, GridMismatch, PhaseUnsupported
+from .errors import TOLERANCES, ExceptionalPointError, GridMismatch, PhaseUnsupported
 from .spectral import eigensystem, expand
 
 
@@ -200,10 +205,19 @@ def _interval_minus_one(h, length: float, step: float) -> np.ndarray:
     return _power_minus_one(integrate_rk4(aug, basis, [0.0, substep], substep)[1][:2].real, m)
 
 
+# The RK route's step r*h, in units of the circuit's fastest time 1/r, r = max|lambda|.
+RK_STEP = 1e-3
+
+
+def rk_tolerance(step: float) -> float:
+    """Documented agreement bound for the RK4 route at the dimensionless step r*h."""
+    return max(1e-9, 1e-6 * (step / RK_STEP) ** 4)
+
+
 def evolve_integrated(
     params: CircuitParams, init: InitialData, times, step: float = 1e-3
 ) -> Trajectory:
-    """RK4 evolution of the circuit state; global error O(step^4).
+    """RK4 evolution of the circuit state; global error O(step^4), ``step`` in seconds.
 
     Same substeps as :func:`integrate_rk4` on the grid (prefixed by t = 0
     when it starts later), one D = M - I per distinct length, stepped as
@@ -257,6 +271,45 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
     err = float(dist.max())  # NaN if any distance is NaN
     idx = int(dist.argmax()) if math.isfinite(err) else int(np.argmin(np.isfinite(dist)))
     return err, float(traj_a.times[idx])
+
+
+def route_agreement(trajectories: dict, rk_step: float) -> list:
+    """(a, b, max error, its time, bound) for each pair of named routes on one
+    grid, in order; pairs with "rk" are bounded by rk_tolerance(rk_step). Each bound
+    is scaled by max(1, largest |state entry| of the exact route a) unless that is
+    not finite, so a growing state has a relative bound; "rk" is last, never a."""
+    scale = {}  # each route that can be a, that is all but the last: its size, once
+    for name in list(trajectories)[:-1]:
+        size = float(np.abs(trajectories[name].states).max(initial=1.0))
+        scale[name] = size if np.isfinite(size) else 1.0
+    out = []
+    for name_a, name_b in itertools.combinations(trajectories, 2):
+        err, at = compare(trajectories[name_a], trajectories[name_b])
+        rk_pair = "rk" in (name_a, name_b)
+        bound = rk_tolerance(rk_step) if rk_pair else TOLERANCES["closed_vs_spectral"]
+        out.append((name_a, name_b, err, at, bound * scale[name_a]))
+    return out
+
+
+def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP, method="all"):
+    """(trajectories by route name, their route_agreement pairs) on a grid from 0. "all"
+    runs "closed" in the broken phase only, the spectral route by its method tag, then
+    "rk"; another ``method`` runs that route alone. RK steps h = min(rk_step/r, spacing)
+    seconds, r = max|lambda| the fastest rate, and its pairs are bounded at r*h."""
+    phase, rate = classify(params), params.omega0
+    if phase is Phase.UNBROKEN:  # overdamped: |alpha| + sqrt(alpha^2 - omega0^2)
+        a = abs(params.alpha)
+        rate = a + (a - rate) ** 0.5 * (a + rate) ** 0.5
+    step = min([rk_step / rate, *grid[1:2]])  # grid[1] is the spacing; keeps a NaN rk_step
+    routes = {}
+    if method == "closed" or (method == "all" and phase is Phase.BROKEN):
+        routes["closed"] = evolve_closed_form(params, init, grid)
+    if method in ("all", "spectral"):
+        spectral = evolve_spectral(params, init, grid)
+        routes[spectral.method] = spectral
+    if method in ("all", "rk"):
+        routes["rk"] = evolve_integrated(params, init, grid, step=step)
+    return routes, route_agreement(routes, rate * step)
 
 
 def write_rows(fh, header: str, columns, tags) -> None:

@@ -1,4 +1,21 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit; the gate bounds by name and their verdict."""
+
+TOLERANCES = {
+    "biorthogonality_residual": 1e-12,
+    "inverse_residual": 1e-12,
+    "mapping_residual": 1e-12,
+    "intertwining_residual": 1e-11,
+    "anticommutator_residual": 1e-11,
+    "nilpotency_residual": 1e-11,
+    "hamiltonian_residual": 1e-12,
+    "self_orthogonality_residual": 1e-12,
+    "closed_vs_spectral": 1e-10,
+}
+
+
+def exceeds(value: float, bound: float) -> bool:
+    """The gate verdict: a value fails unless it is at most its bound, so NaN fails."""
+    return not value <= bound
 
 
 class NotPositiveHermitian(ValueError):

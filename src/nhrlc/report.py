@@ -1,17 +1,15 @@
-"""Machine-readable analysis report for one parameter point.
+"""Machine-readable analysis report for one parameter point: its gates and its JSON.
 
 The report is a plain JSON-serializable dict (schema 1): complex numbers are
-{"re": x, "im": y} objects, matrices nested lists of those. Every residual
-is a gate. :data:`TOLERANCES` is the registry of gate bounds by name. For both
-``analyze`` and ``evolve``, :func:`cross_check` runs the routes and bounds them pairwise
-by :func:`route_agreement`, with :func:`rk_tolerance` for pairs with the RK route.
-:func:`exceeds` is the one verdict, and a NaN exceeds every bound. :func:`build_report`
-returns the violated gates alongside the report so callers can self-diagnose.
+{"re": x, "im": y} objects, matrices nested lists of those. Every residual is a
+gate, bounded by ``errors.TOLERANCES`` or the route pairs of ``dynamics.cross_check``
+and judged by ``errors.exceeds``; those and ``RK_STEP``, ``rk_tolerance`` and
+``route_agreement`` are bound here too. :func:`build_report` returns the violated
+gates alongside the report so callers can self-diagnose.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -19,74 +17,11 @@ import numpy as np
 from . import dynamics, metric, pseudofermion
 from .circuit import CircuitParams, Phase, classify, hamiltonian
 from .cxmat import operator_norm, trace_det
-from .errors import ExistenceViolation
+from .dynamics import RK_STEP, cross_check, rk_tolerance, route_agreement  # noqa: F401
+from .errors import TOLERANCES, ExistenceViolation, exceeds
 from .spectral import ep_system, eigensystem
 
 SCHEMA_VERSION = 1
-
-TOLERANCES = {
-    "biorthogonality_residual": 1e-12,
-    "inverse_residual": 1e-12,
-    "mapping_residual": 1e-12,
-    "intertwining_residual": 1e-11,
-    "anticommutator_residual": 1e-11,
-    "nilpotency_residual": 1e-11,
-    "hamiltonian_residual": 1e-12,
-    "self_orthogonality_residual": 1e-12,
-    "closed_vs_spectral": 1e-10,
-}
-
-# The RK route's step r*h, in units of the circuit's fastest time 1/r, r = max|lambda|.
-RK_STEP = 1e-3
-
-
-def rk_tolerance(step: float) -> float:
-    """Documented agreement bound for the RK4 route at the dimensionless step r*h."""
-    return max(1e-9, 1e-6 * (step / RK_STEP) ** 4)
-
-
-def exceeds(value: float, bound: float) -> bool:
-    """The gate verdict: a value fails unless it is at most its bound, so NaN fails."""
-    return not value <= bound
-
-
-def route_agreement(trajectories: dict, rk_step: float) -> list:
-    """(a, b, max error, its time, bound) for each pair of named routes on one
-    grid, in order; pairs with "rk" are bounded by rk_tolerance(rk_step). Each bound
-    is scaled by max(1, largest |state entry| of the exact route a) unless that is
-    not finite, so a growing state has a relative bound; "rk" is last, never a."""
-    scale = {}  # each route that can be a, that is all but the last: its size, once
-    for name in list(trajectories)[:-1]:
-        size = float(np.abs(trajectories[name].states).max(initial=1.0))
-        scale[name] = size if np.isfinite(size) else 1.0
-    out = []
-    for name_a, name_b in itertools.combinations(trajectories, 2):
-        err, at = dynamics.compare(trajectories[name_a], trajectories[name_b])
-        rk_pair = "rk" in (name_a, name_b)
-        bound = rk_tolerance(rk_step) if rk_pair else TOLERANCES["closed_vs_spectral"]
-        out.append((name_a, name_b, err, at, bound * scale[name_a]))
-    return out
-
-
-def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP, method="all"):
-    """(trajectories by route name, their route_agreement pairs) on a grid from 0. "all"
-    runs "closed" in the broken phase only, the spectral route by its method tag, then
-    "rk"; another ``method`` runs that route alone. RK steps h = min(rk_step/r, spacing)
-    seconds, r = max|lambda| the fastest rate, and its pairs are bounded at r*h."""
-    phase, rate = classify(params), params.omega0
-    if phase is Phase.UNBROKEN:  # overdamped: |alpha| + sqrt(alpha^2 - omega0^2)
-        a = abs(params.alpha)
-        rate = a + (a - rate) ** 0.5 * (a + rate) ** 0.5
-    step = min([rk_step / rate, *grid[1:2]])  # grid[1] is the spacing; keeps a NaN rk_step
-    routes = {}
-    if method == "closed" or (method == "all" and phase is Phase.BROKEN):
-        routes["closed"] = dynamics.evolve_closed_form(params, init, grid)
-    if method in ("all", "spectral"):
-        spectral = dynamics.evolve_spectral(params, init, grid)
-        routes[spectral.method] = spectral
-    if method in ("all", "rk"):
-        routes["rk"] = dynamics.evolve_integrated(params, init, grid, step=step)
-    return routes, route_agreement(routes, rate * step)
 
 
 def c2j(z) -> dict:

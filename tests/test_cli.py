@@ -694,8 +694,14 @@ def test_grid_too_large_to_allocate_exit_2_with_one_line(capsys, argv):
     (["-m", "nhrlc.cli", "mequiv", "--matrix-a", "1", "0", "0", "0", "0", "0", "1", "0",
       "--matrix-b", "1", "0", "1", "0", "0", "0", "1", "0"],
      {"circuit", "cxmat", "errors", "spectral", "mequiv", "metric"}),
+    (["-m", "nhrlc.cli", "evolve", "--alpha", "0.3", "--omega0", "1", "--i0", "1", "--v0", "0",
+      "--L", "1", "--t-max", "1", "--dt", "0.5"],
+     {"circuit", "cxmat", "errors", "spectral", "dynamics"}),
+    (["-m", "nhrlc.cli", "analyze", "--alpha", "0.3", "--omega0", "1"],
+     {"circuit", "cxmat", "errors", "spectral", "dynamics", "mequiv", "metric",
+      "pseudofermion", "report"}),
     (["-c", "import nhrlc"], set()),
-], ids=["sweep", "mequiv", "import nhrlc"])
+], ids=["sweep", "mequiv", "evolve", "analyze", "import nhrlc"])
 def test_a_subcommand_loads_only_the_layers_it_runs(args, layers):
     stderr = fresh_python("-X", "importtime", *args).stderr
     assert set(re.findall(r"\|\s+nhrlc\.(\w+)$", stderr, re.M)) == layers

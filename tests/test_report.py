@@ -11,9 +11,9 @@ from nhrlc import (
     evolve_spectral,
     uniform_grid,
 )
-from nhrlc import pseudofermion, report
-from nhrlc.errors import ExistenceViolation
-from nhrlc.report import TOLERANCES, exceeds, rk_tolerance, route_agreement
+from nhrlc import dynamics, pseudofermion, report
+from nhrlc.dynamics import rk_tolerance, route_agreement
+from nhrlc.errors import TOLERANCES, ExistenceViolation, exceeds
 
 BP, UP, EP = (CircuitParams.from_rates(alpha, 1.0) for alpha in (0.5, 1.5, 1.0))
 REST = InitialData(i0=1.0, v0=0.0, inductance=1.0)
@@ -142,7 +142,7 @@ class TestGates:
     def test_every_registry_gate_is_reached_with_its_bound_read_at_call_time(self, monkeypatch):
         for name in TOLERANCES:
             monkeypatch.setitem(TOLERANCES, name, -1.0)
-        monkeypatch.setattr(report, "rk_tolerance", lambda step: -1.0)
+        monkeypatch.setattr(dynamics, "rk_tolerance", lambda step: -1.0)  # route_agreement reads it
         violations = build_report(BP).violations + build_report(EP).violations
         assert all(line.endswith(" exceeds -1.0e+00") for line in violations)
         flagged = {line.split(" = ")[0] for line in violations}

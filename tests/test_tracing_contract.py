@@ -69,3 +69,17 @@ def test_kernels_still_call_their_traced_callees(monkeypatch):
     maps = _count_calls(monkeypatch, metric, "antilinear_u")
     metric.similar_hamiltonian_via_u(system, gain_hamiltonian(params))
     assert len(maps) == 4
+
+
+def test_the_traced_rk_bound_is_the_one_route_agreement_calls(monkeypatch):
+    # the tracer swaps report.rk_tolerance by identity, so it is the dynamics function,
+    # and the benchmark reaches it only through route_agreement's call per RK pair
+    from nhrlc import CircuitParams, InitialData, dynamics, errors, report, uniform_grid
+
+    assert report.rk_tolerance is dynamics.rk_tolerance
+    assert report.TOLERANCES is errors.TOLERANCES and report.exceeds is errors.exceeds
+    bounds = _count_calls(monkeypatch, dynamics, "rk_tolerance")
+    init, grid = InitialData(1.0, 0.0, 1.0), uniform_grid(1.0, 0.1)
+    _, pairs = dynamics.cross_check(CircuitParams.from_rates(0.3, 1.0), init, grid)
+    rk_pairs = [pair for pair in pairs if "rk" in pair[:2]]
+    assert len(rk_pairs) == len(bounds) == 2
