@@ -15,6 +15,8 @@
   one-substep integrate_rk4 call, raised to the m-th power. The states of a
   uniform grid from 0 double: Phi_{s+j} = Phi_j + (M^s - I) Phi_j for j < s,
   in ceil(log2(n + 1)) passes; other grids step Phi_{k+1} = Phi_k + D_k Phi_k.
+  Two one-entry caches prove the report's grid once: uniform_grid keeps its last
+  linspace by (n*dt, n), evolve_integrated the (shape, bytes) of its last uniform grid.
 
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
@@ -68,8 +70,14 @@ class Trajectory:
     method: str
 
 
+_grid: tuple = (None, None)  # ((n*dt, n), np.linspace) of the last uniform_grid call
+_uniform: tuple | None = None  # (shape, bytes) of the last grid evolve_integrated proved uniform
+
+
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
-    """Inclusive uniform grid from 0 to t_max with step dt."""
+    """Inclusive uniform grid from 0 to t_max with step dt, checked on every call; a repeat
+    call with the last (n*dt, n), all np.linspace sees, copies the memo into a fresh array."""
+    global _grid
     if not finite_real(t_max, dt):
         raise ValueError("t_max and dt must be finite")
     if t_max <= 0 or dt <= 0:
@@ -78,7 +86,10 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     if not math.isfinite(ratio):
         raise ValueError("t_max / dt must be finite")
     n = int(round(ratio))
-    return np.linspace(0.0, n * dt, n + 1)
+    key, last = (n * dt, n), _grid
+    if key != last[0]:
+        last = _grid = (key, np.linspace(0.0, n * dt, n + 1))
+    return last[1].copy()
 
 
 def initial_state(init: InitialData, params: CircuitParams) -> np.ndarray:
@@ -180,29 +191,32 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
 CSV_BLOCK = 1024
 
 
-def _power_minus_one(d, m: int) -> np.ndarray:
-    """(I + d)^m - I for a 2x2 matrix d, by repeated squaring on d."""
-    out = np.zeros_like(d)
-    while True:
-        if m & 1:
-            out = out + d + out @ d
-        m >>= 1
-        if not m:
-            return out
-        d = d + d + d @ d
+def _compose(p, q) -> tuple:
+    """(I + p)(I + q) - I = p + q + p q for row-major 2x2 4-sequences of floats."""
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = p, q
+    return (p0 + q0 + (p0 * q0 + p1 * q2), p1 + q1 + (p0 * q1 + p1 * q3),
+            p2 + q2 + (p2 * q0 + p3 * q2), p3 + q3 + (p2 * q1 + p3 * q3))
 
 
-def _interval_minus_one(h, length: float, step: float) -> np.ndarray:
+def _interval_minus_one(h, length: float, step: float) -> tuple:
     """D = M - I of RK4 over one interval in m = ceil(length/step) substeps:
     one integrate_rk4 call over one substep on the generator augmented to
     [[H, H], [0, 0]], which takes (0, I) to (D, I), so D is never rounded at
-    1; then its m-th power in the same form."""
+    1; then (I + D)^m - I by repeated squaring on D, as a row-major 4-tuple."""
     m = _substeps(length, step)
     substep = length / m
     aug = np.zeros((4, 4), dtype=complex)
     aug[:2, :2] = aug[:2, 2:] = h
     basis = np.eye(4, 2, -2)
-    return _power_minus_one(integrate_rk4(aug, basis, [0.0, substep], substep)[1][:2].real, m)
+    d = integrate_rk4(aug, basis, [0.0, substep], substep)[1][:2].real.ravel().tolist()
+    out = (0.0,) * 4
+    while True:
+        if m & 1:
+            out = _compose(out, d)
+        m >>= 1
+        if not m:
+            return out
+        d = _compose(d, d)
 
 
 # The RK route's step r*h, in units of the circuit's fastest time 1/r, r = max|lambda|.
@@ -227,35 +241,43 @@ def evolve_integrated(
     and D_2s = 2 D_s + D_s D_s. Over 10^4 intervals the states stay within
     1.0e-14 relative of the stepwise loop at the gain point (-0.3, 1) and
     1.2e-13 at (-0.8, 1.8), far below the O(step^4) error the gates allow.
+    A grid with the shape and bytes of the last one found uniform from 0 skips
+    the grid checks and the linspace test; a refused or late-start grid is not kept.
     """
+    global _uniform
     if not step > 0:
         raise ValueError("step must be positive")
     ts = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise ValueError("time grid must be finite")
-    full = np.concatenate([[0.0], ts]) if ts.size and abs(ts[0]) > 0 else ts
-    spans = np.diff(full)
-    if not np.all((spans > 0) & np.isfinite(spans)):
-        raise ValueError("time grid must be strictly increasing")
-    n = spans.size
+    key = (ts.shape, ts.tobytes())
+    full, uniform = ts, key == _uniform  # a hit passed the checks below as linspace from 0
+    if not uniform:
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("time grid must be finite")
+        full = np.concatenate([[0.0], ts]) if ts.size and abs(ts[0]) > 0 else ts
+        spans = np.diff(full)
+        if not np.all((spans > 0) & np.isfinite(spans)):
+            raise ValueError("time grid must be strictly increasing")
+        uniform = spans.size > 1 and np.array_equal(full, np.linspace(0.0, full[-1], full.size))
+        _uniform = key if uniform and full is ts else _uniform  # never a refused or late grid
+    n = full.size - 1
     h = hamiltonian(params)
     x = np.empty((2, full.size))  # -iH and Phi(0) are real: so are the states
     x[:, :1] = initial_state(init, params).real[:, None]
     # a huge generator overflows its propagators; the gates fail the inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        if n > 1 and np.array_equal(full, np.linspace(0.0, full[-1], n + 1)):
-            d = _interval_minus_one(h, full[-1] / n, step)  # linspace rounding aside, one M
-            s = 1
-            while s <= n:  # d = M^s - I
+        if uniform:
+            ds = [_interval_minus_one(h, full[-1] / n, step)]  # linspace rounding aside, one M
+            for _ in range(n.bit_length() - 1):
+                ds.append(_compose(ds[-1], ds[-1]))  # D_2s = 2 D_s + D_s D_s
+            for p, d in enumerate(np.array(ds).reshape(-1, 2, 2)):  # d = M^s - I, s = 2^p <= n
+                s = 1 << p
                 w = min(s, n + 1 - s)
                 np.add(x[:, :w], d.dot(x[:, :w]), out=x[:, s:s + w])
-                d = d + d + d.dot(d)
-                s *= 2
         else:
             props: dict[float, np.ndarray] = {}  # D = M - I per distinct length
             for k, length in enumerate(spans.tolist()):
                 if length not in props:
-                    props[length] = _interval_minus_one(h, length, step)
+                    props[length] = np.reshape(_interval_minus_one(h, length, step), (2, 2))
                 x[:, k + 1] = x[:, k] + props[length].dot(x[:, k])
     states = x.T[full.size - ts.size:].copy()
     return Trajectory(times=ts, states=states, method="integrated")
@@ -267,7 +289,8 @@ def compare(traj_a: Trajectory, traj_b: Trajectory) -> tuple[float, float]:
     if traj_a.times.shape != traj_b.times.shape or not (traj_a.times == traj_b.times).all():
         raise GridMismatch("trajectories are sampled on different time grids")
     with np.errstate(over="ignore", invalid="ignore"):
-        dist = np.hypot(*np.abs(traj_a.states - traj_b.states).T)  # no squares to overflow
+        diff = traj_a.states - traj_b.states  # hypot: even in each argument, no squares to overflow
+        dist = np.hypot(*(np.abs(diff) if np.iscomplexobj(diff) else diff).T)
     err = float(dist.max())  # NaN if any distance is NaN
     idx = int(dist.argmax()) if math.isfinite(err) else int(np.argmin(np.isfinite(dist)))
     return err, float(traj_a.times[idx])
@@ -280,7 +303,9 @@ def route_agreement(trajectories: dict, rk_step: float) -> list:
     not finite, so a growing state has a relative bound; "rk" is last, never a."""
     scale = {}  # each route that can be a, that is all but the last: its size, once
     for name in list(trajectories)[:-1]:
-        size = float(np.abs(trajectories[name].states).max(initial=1.0))
+        states = trajectories[name].states  # max |entry|, with no |states| temporary if real
+        states = np.abs(states) if np.iscomplexobj(states) else states
+        size = float(max(states.max(initial=1.0), -states.min(initial=-1.0)))
         scale[name] = size if np.isfinite(size) else 1.0
     out = []
     for name_a, name_b in itertools.combinations(trajectories, 2):

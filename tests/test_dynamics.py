@@ -119,6 +119,19 @@ class TestUniformGrid:
         with pytest.raises(ValueError, match="t_max / dt must be finite"):
             uniform_grid(t_max, dt)
 
+    def test_each_call_returns_a_fresh_writable_linspace(self, monkeypatch):
+        monkeypatch.setattr(nhrlc.dynamics, "_grid", (None, None))
+        # (10.004, 0.01) rounds to the (n*dt, n) of (10, 0.01): a repeat call; (10, 0.02) is not
+        for t_max, dt in [(10.0, 0.01), (10.0, 0.01), (10.0, 0.02), (5.0, 0.04), (10.0, 0.01),
+                          (10.004, 0.01)]:
+            grid = uniform_grid(t_max, dt)
+            n = round(t_max / dt)
+            assert grid.flags.writeable and grid.flags.owndata
+            assert grid.tobytes() == np.linspace(0.0, n * dt, n + 1).tobytes()
+            grid[:] = np.nan  # written by its caller: the next call's grid must not see it
+            with pytest.raises(ValueError, match="positive"):  # checked on a repeat call too
+                uniform_grid(t_max, -dt)
+
 
 class TestClosedForm:
     def test_undamped_cosine(self):
@@ -534,6 +547,62 @@ class TestIntegrated:
             np.testing.assert_allclose(
                 stacked[:, :, j], integrate_rk4(h, column, grid, 1e-2), rtol=1e-14, atol=0
             )
+
+
+class TestGridCache:
+    """evolve_integrated gives each grid the same verdict and states with its cache
+    of the last uniform grid warm as cleared."""
+
+    @pytest.fixture(autouse=True)
+    def cleared(self, monkeypatch):
+        monkeypatch.setattr(nhrlc.dynamics, "_uniform", None)
+
+    @staticmethod
+    def outcome(grid):
+        """The states' shape and bytes, or the refusal's type and message."""
+        try:
+            states = evolve_integrated(GAIN_REF, REST, grid, step=1e-3).states
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return states.shape, states.tobytes()
+
+    def test_a_repeat_uniform_grid_is_proved_once(self, monkeypatch):
+        grid = uniform_grid(10.0, 0.01)
+        calls, linspace = [], np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+        first = self.outcome(grid)
+        assert self.outcome(grid.copy()) == first  # equal bytes in another array: a hit
+        assert len(calls) == 1
+        nhrlc.dynamics._uniform = None
+        assert self.outcome(grid) == first and len(calls) == 2
+
+    @pytest.mark.parametrize("edit", ["one-ulp", "nan", "inf", "swap", "row"])
+    def test_an_edited_grid_gets_the_verdict_of_a_cleared_cache(self, edit):
+        grid = uniform_grid(10.0, 0.01)
+        edited = grid.copy()
+        if edit == "one-ulp":
+            edited[500] = np.nextafter(edited[500], np.inf)
+        elif edit in ("nan", "inf"):
+            edited[500] = float(edit)
+        elif edit == "swap":
+            edited[[499, 500]] = edited[[500, 499]]
+        else:
+            edited = edited.reshape(1, -1)  # the uniform grid's bytes in another shape
+        expected = self.outcome(edited)
+        assert (expected[0] is ValueError) == (edit != "one-ulp")  # one-ulp: the recurrence
+        assert self.outcome(edited) == expected  # a refused grid is not stored
+        self.outcome(grid)
+        assert self.outcome(edited) == expected
+
+    def test_a_late_start_grid_is_never_stored(self):
+        late = uniform_grid(10.0, 0.01)[1:]  # with 0 prefixed, bitwise linspace: the doubling
+        first = self.outcome(late)
+        assert nhrlc.dynamics._uniform is None
+        assert self.outcome(late) == first
+        full = np.concatenate([[0.0], late])
+        loop = integrate_rk4(hamiltonian(GAIN_REF), initial_state(REST, GAIN_REF), full, 1e-3)[1:]
+        states = np.frombuffer(first[1]).reshape(first[0])
+        assert np.abs(states - loop).max() <= 1e-12 * np.abs(loop).max()
 
 
 class TestCompare:
