@@ -100,9 +100,8 @@ class CircuitParams:
 
 def hamiltonian(params: CircuitParams) -> np.ndarray:
     """Generator H = i*[[0, 1], [-omega0^2, -2*alpha]] of i*Phi' = H*Phi."""
-    return 1j * np.array(
-        [[0.0, 1.0], [-params.omega0 ** 2, -2.0 * params.alpha]], dtype=complex
-    )
+    w0 = params.omega0  # w0 * w0 is rounded correctly, and so scales exactly; w0 ** 2 is not
+    return 1j * np.array([[0.0, 1.0], [-w0 * w0, -2.0 * params.alpha]], dtype=complex)
 
 
 def gain_hamiltonian(params: CircuitParams) -> np.ndarray:

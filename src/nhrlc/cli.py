@@ -10,9 +10,10 @@ Four subcommands, all emitting machine-readable output on stdout:
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
 
 Both CSV outputs are written by ``dynamics.write_rows``. Each handler imports
-the layers it runs: ``sweep`` and ``evolve`` load ``circuit``, ``cxmat``,
-``errors``, ``spectral`` and ``dynamics``; ``mequiv`` loads ``mequiv`` and
-``metric`` on top of the first four; ``analyze`` loads all nine.
+the layers it runs, and ``import nhrlc.cli`` loads none of them, nor numpy:
+``sweep`` and ``evolve`` load ``circuit``, ``cxmat``, ``errors``, ``spectral``
+and ``dynamics``; ``mequiv`` loads ``mequiv`` alone and decides on Python
+scalars, with no numpy; ``analyze`` loads all nine.
 
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
@@ -21,12 +22,9 @@ tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import NoReturn
-
-import numpy as np
-
-from .circuit import CircuitParams, phase_of
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +73,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _params_from_args(parser: _Parser, args) -> CircuitParams:
+def _params_from_args(parser: _Parser, args):
+    from .circuit import CircuitParams
+
     rates = [args.alpha, args.omega0]
     rlc = [args.R, args.L, args.C]
     has_rates = any(v is not None for v in rates)
@@ -108,7 +108,10 @@ def _cmd_analyze(parser: _Parser, args) -> int:
 
 
 def _cmd_sweep(parser: _Parser, args) -> int:
+    import numpy as np
+
     from . import dynamics
+    from .circuit import phase_of
     from .spectral import modes
 
     if not np.all(np.isfinite([args.alpha_min, args.alpha_max, args.omega0])):
@@ -139,7 +142,10 @@ def _cmd_sweep(parser: _Parser, args) -> int:
 
 
 def _cmd_evolve(parser: _Parser, args) -> int:
+    import numpy as np
+
     from . import dynamics
+    from .circuit import CircuitParams
     from .errors import exceeds
 
     try:
@@ -176,27 +182,24 @@ def _cmd_evolve(parser: _Parser, args) -> int:
     return 1 if failed else 0
 
 
-def _parse_matrix(flat: list[float]) -> np.ndarray:
+def _parse_matrix(parser: _Parser, flat: list[float]) -> list[list[complex]]:
+    """Row-major re/im pairs as a 2x2 nested list of Python complex, finite as as_cmat asks."""
+    if not all(map(math.isfinite, flat)):
+        parser.error("matrix entries must be finite")
     vals = [complex(flat[k], flat[k + 1]) for k in range(0, 8, 2)]
-    return np.array([[vals[0], vals[1]], [vals[2], vals[3]]], dtype=complex)
+    return [vals[:2], vals[2:]]
 
 
 def _cmd_mequiv(parser: _Parser, args) -> int:
+    """The decision of m_equivalent, is_similar and len(solve_intertwiners), taken once."""
     import json
 
-    from . import mequiv
-    from .metric import solve_intertwiners
+    from .mequiv import _decide
 
-    mat_a = _parse_matrix(args.matrix_a)
-    mat_b = _parse_matrix(args.matrix_b)
-    try:
-        verdict = {
-            "m_equivalent": mequiv.m_equivalent(mat_a, mat_b),
-            "similar": mequiv.is_similar(mat_a, mat_b),
-            "intertwiner_dim": len(solve_intertwiners(mat_a, mat_b)),
-        }
-    except ValueError as exc:
-        parser.error(str(exc))
+    equal, similar, dim, *_ = _decide(
+        _parse_matrix(parser, args.matrix_a), _parse_matrix(parser, args.matrix_b)
+    )
+    verdict = {"m_equivalent": equal, "similar": similar, "intertwiner_dim": dim}
     json.dump(verdict, sys.stdout)
     sys.stdout.write("\n")
     return 0

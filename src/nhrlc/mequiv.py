@@ -16,6 +16,11 @@ quartic for the first variable whose coefficients are exactly the
 characteristic polynomial coefficients of L; when the second- and
 first-order coefficients vanish, only trace and determinant survive, and any
 similarity transform of L produces the same quartic.
+
+The coincidence rule behind m-equivalence, similarity and the intertwiner
+dimension (``_decide``) runs on Python complex scalars. numpy and ``cxmat``
+are imported inside the functions that form arrays, so ``import
+nhrlc.mequiv`` loads neither, nor does the CLI's ``mequiv`` decision.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .cxmat import as_cmat, char_poly_coeffs, trace_det
 
 EQUIVALENCE_RTOL = 1e-12
 _last: tuple = (None, None)  # (key, decision) of the last pair decided; refusals are not stored
@@ -64,6 +65,8 @@ class LiouvilleSystem:
 
 def ode_coefficients_2(h) -> OdeCoefficients:
     """[1, i*tr(H), -det(H)]: the scalar equation v'' + i*tr v' - det v = 0."""
+    from .cxmat import as_cmat, trace_det
+
     tr, det = trace_det(as_cmat(h, 2))
     return OdeCoefficients(order=2, coefficients=(1.0 + 0.0j, 1j * tr, -det))
 
@@ -72,7 +75,7 @@ def _coincidence(h_a, h_b):
     """The one decision behind m-equivalence, similarity and intertwiners.
 
     Each matrix M becomes D^-1 M D, D = diag(1, 2^e), |m01| 2^e ~ |m10| 2^-e, over one common
-    power of two, in one exact ldexp. With s the largest entry modulus and eps =
+    power of two, by exact ldexp in :func:`_decide`. With s the largest entry modulus and eps =
     ``EQUIVALENCE_RTOL`` * s, traces agree within eps, determinants within eps*s, and roots
     within eps plus the radii their rounding leaves them in; dim{X : A X = X B} sums min(p, q)
     over shared roots with Jordan blocks p, q (Gantmacher, vol. 1, ch. VIII). Returns
@@ -82,25 +85,33 @@ def _coincidence(h_a, h_b):
     exponents a tuple, as callers share them. Input that is not finite raises and is not stored.
     """
     global _last
-    a, b = as_cmat(h_a, 2), as_cmat(h_b, 2)
+    import nhrlc.cxmat as cxmat  # per call, a quarter of what `from .cxmat import` costs
+
+    a, b = cxmat.as_cmat(h_a, 2), cxmat.as_cmat(h_b, 2)
     key, last = (a.tobytes(), b.tobytes(), EQUIVALENCE_RTOL), _last
     if key != last[0]:
-        last = _last = (key, _decide(a, b))
+        import numpy as np
+
+        *verdicts, rows, undo = _decide(a.tolist(), b.tolist())
+        pair = np.array(rows).reshape(2, 2, 2)
+        pair.setflags(write=False)
+        last = _last = (key, (*verdicts, pair, undo))
     return last[1]
 
 
 def _decide(a, b):
-    rows = [a.ravel().tolist(), b.ravel().tolist()]
+    """The rule of :func:`_coincidence` on two 2x2 nested lists of Python complex, with no
+    numpy: (m_equivalent, similar, dim, the balanced pair as two row-major 4-lists, undo)."""
+    rows = [a[0] + a[1], b[0] + b[1]]
     shifts, top = [], 0.0  # per matrix, the exponents that balance its entries; the largest part
     for w, x, y, z in rows:
         parts = [max(abs(v.real), abs(v.imag)) for v in (w, x, y, z)]  # no modulus: none overflows
         e = (math.frexp(parts[2])[1] - math.frexp(parts[1])[1]) // 2 if x and y else 0
         shifts.append((0, e, -e, 0))
         top = max(top, parts[0], parts[3], math.ldexp(parts[1], e), math.ldexp(parts[2], -e))
-    shift = (np.array(shifts) + (1 - math.frexp(top)[1]))[..., None]  # and the common one
-    pair = np.ldexp(np.array(rows).view(float).reshape(2, 4, 2), shift).view(complex).reshape(2, 2, 2)
-    pair.setflags(write=False)
-    rows = pair.reshape(2, 4).tolist()
+    common = 1 - math.frexp(top)[1]  # and the common one
+    rows = [[complex(math.ldexp(v.real, e + common), math.ldexp(v.imag, e + common))
+             for v, e in zip(row, shift)] for row, shift in zip(rows, shifts)]
     s = max(map(abs, rows[0] + rows[1]))
     eps = EQUIVALENCE_RTOL * s
     kinds = []  # trace, determinant, roots, the radius their rounding stays in, scalar flag
@@ -126,7 +137,7 @@ def _decide(a, b):
     k = max(e_a, 0) + max(-e_b, 0)  # the largest exponent of D_A Y D_B^-1 over Y
     undo = ((-k, -e_b - k), (e_a - k, e_a - e_b - k))
     # a scalar matrix has a double root: similar needs equal scalar flags only there
-    return equal, equal and scalar_a == scalar_b, dim, pair, undo
+    return equal, equal and scalar_a == scalar_b, dim, rows, undo
 
 
 def m_equivalent(h_a, h_b) -> bool:
@@ -146,6 +157,8 @@ def is_similar(h_a, h_b) -> bool:
 
 def liouville(alpha1, alpha2, alpha3, beta1, beta2, beta3) -> LiouvilleSystem:
     """Assemble the coupled-circuit first-order matrix and its generator."""
+    import numpy as np
+
     a1, a2, a3 = float(alpha1), float(alpha2), float(alpha3)
     b1, b2, b3 = float(beta1), float(beta2), float(beta3)
     matrix = np.array(
@@ -169,6 +182,8 @@ def quartic_coefficients(system: LiouvilleSystem) -> OdeCoefficients:
     [1, -tr(L), alpha2 + beta2 + alpha1*beta1, alpha1*beta2 + alpha2*beta1,
     det(L)]; these coincide with the characteristic polynomial of L.
     """
+    from .cxmat import trace_det
+
     tr, det = trace_det(system.matrix)
     return OdeCoefficients(
         order=4,
@@ -203,6 +218,10 @@ def lemma_similarity_residual(system: LiouvilleSystem, s_matrix) -> float:
     The transformed matrix is generally not in coupled-circuit form, so its
     quartic is read off the characteristic polynomial.
     """
+    import numpy as np
+
+    from .cxmat import as_cmat, char_poly_coeffs
+
     s = as_cmat(s_matrix, 4)
     transformed = s @ system.matrix @ np.linalg.inv(s)
     own = np.array(quartic_coefficients(system).coefficients)

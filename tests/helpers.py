@@ -102,6 +102,26 @@ def random_invertible(rng, n, min_det=0.1):
             return m
 
 
+PAIR_KINDS = ("random", "similar", "adjoint", "jordan", "scalar", "equal")
+
+
+def designed_pair(kind, m, n, t, u):
+    """A pair of the given kind (one of PAIR_KINDS) built from the random 2x2 matrices m and n."""
+    lam, c, eye = m[0, 0], n[0, 1], np.eye(2)
+    if kind == "similar":
+        p = np.array([[1.0, t], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [u, 1.0]])
+        return m, p @ m @ np.linalg.inv(p)
+    if kind == "adjoint":
+        return m, m.conj().T
+    if kind == "jordan":
+        return lam * eye + c * np.array([[0.0, 1.0], [0.0, 0.0]]), lam * eye
+    if kind == "scalar":
+        return lam * eye, lam * eye
+    if kind == "equal":
+        return m, m.copy()
+    return m, n
+
+
 def balanced_residual(a, b, x):
     """max|A_b Y - Y B_b| / (s max|Y|) for an intertwiner X of (A, B), where
     Y = D_A^-1 X D_B and A_b, B_b are the pair balanced by the coincidence

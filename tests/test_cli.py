@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,11 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nhrlc import CircuitParams, build_report, eigensystem, report
+from nhrlc import (
+    CircuitParams, build_report, eigensystem, is_similar, m_equivalent, report, solve_intertwiners,
+)
 from nhrlc.cli import main
 
-from helpers import fresh_python, reference_sweep_csv
+from helpers import PAIR_KINDS, designed_pair, fresh_python, reference_sweep_csv
 
 SQ2 = np.sqrt(2.0)
 
@@ -656,15 +661,43 @@ class TestMequiv:
         assert code == 0
         assert json.loads(out) == {"m_equivalent": False, "similar": False, "intertwiner_dim": 0}
 
+    # entries whose 1e+-200 scaled pairs stay finite, with both signs of zero
+    ENTRIES = st.builds(
+        lambda re, im, k: complex(re, im) * 10.0 ** k,
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1)),
+        st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1)),
+        st.integers(-60, 60),
+    )
+    MATRICES = st.lists(ENTRIES, min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(PAIR_KINDS),
+        MATRICES, MATRICES, st.floats(-2, 2), st.floats(-2, 2), st.sampled_from([-200, 0, 200]),
+    )
+    def test_the_verdict_is_the_librarys(self, kind, m, n, t, u, k):
+        a, b = (10.0 ** k * x for x in designed_pair(kind, m, n, t, u))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["mequiv", "--matrix-a", *self.flat(a), "--matrix-b", *self.flat(b)])
+        verdict = {
+            "m_equivalent": m_equivalent(a, b),
+            "similar": is_similar(a, b),
+            "intertwiner_dim": len(solve_intertwiners(a, b)),
+        }
+        assert (code, out.getvalue(), err.getvalue()) == (0, json.dumps(verdict) + "\n", "")
+
     @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
     def test_non_finite_entry_exit_2_with_one_line(self, capsys, entry):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["mequiv", "--matrix-a", entry, "0", "0", "0", "0", "0", "1", "0",
-                  "--matrix-b", "1", "0", "0", "0", "0", "0", "1", "0"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "nhrlc: error: matrix entries must be finite\n"
+        for at in (0, 7, 8, 15):  # first and last number of each matrix
+            numbers = ["1", "0", "0", "0", "0", "0", "1", "0"] * 2
+            numbers[at] = entry
+            with pytest.raises(SystemExit) as excinfo:
+                main(["mequiv", "--matrix-a", *numbers[:8], "--matrix-b", *numbers[8:]])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "nhrlc: error: matrix entries must be finite\n"
 
     def test_wrong_arity_exit_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -692,8 +725,7 @@ def test_grid_too_large_to_allocate_exit_2_with_one_line(capsys, argv):
     (["-m", "nhrlc.cli", "sweep", "--omega0", "1", "--alpha-min", "0", "--alpha-max", "2",
       "--steps", "5"], {"circuit", "cxmat", "errors", "spectral", "dynamics"}),
     (["-m", "nhrlc.cli", "mequiv", "--matrix-a", "1", "0", "0", "0", "0", "0", "1", "0",
-      "--matrix-b", "1", "0", "1", "0", "0", "0", "1", "0"],
-     {"circuit", "cxmat", "errors", "spectral", "mequiv", "metric"}),
+      "--matrix-b", "1", "0", "1", "0", "0", "0", "1", "0"], {"mequiv"}),
     (["-m", "nhrlc.cli", "evolve", "--alpha", "0.3", "--omega0", "1", "--i0", "1", "--v0", "0",
       "--L", "1", "--t-max", "1", "--dt", "0.5"],
      {"circuit", "cxmat", "errors", "spectral", "dynamics"}),
@@ -705,3 +737,6 @@ def test_grid_too_large_to_allocate_exit_2_with_one_line(capsys, argv):
 def test_a_subcommand_loads_only_the_layers_it_runs(args, layers):
     stderr = fresh_python("-X", "importtime", *args).stderr
     assert set(re.findall(r"\|\s+nhrlc\.(\w+)$", stderr, re.M)) == layers
+    # every layer but mequiv imports numpy at the top; mequiv decides without it
+    loads_numpy = bool(re.search(r"\|\s+numpy(\.\w+)*$", stderr, re.M))
+    assert loads_numpy == bool(layers - {"mequiv"})

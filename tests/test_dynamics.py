@@ -357,6 +357,21 @@ class TestIntegrated:
         assert np.abs(traj.states - loop).max() <= 1e-13 * np.abs(loop).max()
 
     @pytest.mark.parametrize(
+        "grid", [uniform_grid(10.0, 0.01), uniform_grid(10.0, 0.5)],
+        ids=["report-default", "5000-substep-intervals"],
+    )
+    @pytest.mark.parametrize("alpha, omega0", [(40.0, 50.0), (5.0, 10.0)])
+    def test_decayed_loss_states_keep_their_relative_accuracy(self, grid, alpha, omega0):
+        # M^s - I holds a state decayed to e^-400 only to eps of its start: M^s is kept instead
+        params = CircuitParams.from_rates(alpha, omega0)
+        routes, _ = cross_check(params, REST, grid)
+        exact, rk = routes["closed"].states, routes["rk"].states
+        size = np.hypot(*exact.T)
+        normal = size >= np.finfo(float).tiny
+        assert normal.sum() == grid.size
+        assert (np.hypot(*(rk - exact).T)[normal] / size[normal]).max() < 1e-9
+
+    @pytest.mark.parametrize(
         "grid",
         [
             uniform_grid(10.0, 0.01),

@@ -23,7 +23,7 @@ from nhrlc import (
 )
 from nhrlc import mequiv
 
-from helpers import balanced_residual, random_invertible
+from helpers import PAIR_KINDS, balanced_residual, designed_pair, random_invertible
 
 SQ2 = np.sqrt(2.0)
 
@@ -270,23 +270,6 @@ ENTRIES = st.builds(_entry, st.floats(-1, 1), st.floats(-1, 1), st.integers(-150
 MATRICES = st.lists(ENTRIES, min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
 
 
-def _designed(kind, m, n, t, u):
-    """A pair of the given kind built from the random matrices m and n."""
-    lam, c = m[0, 0], n[0, 1]
-    if kind == "similar":
-        p = np.array([[1.0, t], [0.0, 1.0]]) @ np.array([[1.0, 0.0], [u, 1.0]])
-        return m, p @ m @ np.linalg.inv(p)
-    if kind == "adjoint":
-        return m, m.conj().T
-    if kind == "jordan":
-        return lam * IDENTITY + c * np.array([[0.0, 1.0], [0.0, 0.0]]), lam * IDENTITY
-    if kind == "scalar":
-        return lam * IDENTITY, lam * IDENTITY
-    if kind == "equal":
-        return m, m.copy()
-    return m, n
-
-
 class TestCacheEquivalence:
     """The three answers are the same with the decision cache warm as with it cleared."""
 
@@ -301,12 +284,21 @@ class TestCacheEquivalence:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
-        st.sampled_from(["random", "similar", "adjoint", "jordan", "scalar", "equal"]),
+        st.sampled_from(PAIR_KINDS),
         MATRICES, MATRICES, st.floats(-2, 2), st.floats(-2, 2),
     )
     def test_warm_answers_are_the_cold_ones(self, kind, m, n, t, u):
-        a, b = _designed(kind, m, n, t, u)
+        a, b = designed_pair(kind, m, n, t, u)
         assert self.asked(a, b, cleared=False) == self.asked(a, b, cleared=True)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(PAIR_KINDS),
+        MATRICES, MATRICES, st.floats(-2, 2), st.floats(-2, 2),
+    )
+    def test_the_decided_dim_is_the_intertwiner_count(self, kind, m, n, t, u):
+        a, b = designed_pair(kind, m, n, t, u)
+        assert len(solve_intertwiners(a, b)) == mequiv._coincidence(a, b)[2]
 
 
 class TestIntertwinerVersusInvariants:
