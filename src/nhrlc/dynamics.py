@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ class InitialData:
             raise ValueError("inductance must be positive")
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled evolution: times, real 2-vector states (x1, x2), and method tag."""
 
     times: np.ndarray
@@ -357,7 +357,7 @@ def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP, met
     phase, rate = classify(params), params.omega0
     if phase is Phase.UNBROKEN:  # overdamped: |alpha| + sqrt(alpha^2 - omega0^2)
         a = abs(params.alpha)
-        rate = a + (a - rate) ** 0.5 * (a + rate) ** 0.5
+        rate = a + math.sqrt(a - rate) * math.sqrt(a + rate)
     step = min([rk_step / rate, *grid[1:2]])  # grid[1] is the spacing; keeps a NaN rk_step
     routes = {}
     if method == "closed" or (method == "all" and phase is Phase.BROKEN):

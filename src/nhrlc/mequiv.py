@@ -19,30 +19,30 @@ similarity transform of L produces the same quartic.
 
 The coincidence rule behind m-equivalence, similarity and the intertwiner
 dimension (``_decide``) runs on Python complex scalars. numpy and ``cxmat``
-are imported inside the functions that form arrays, so ``import
-nhrlc.mequiv`` loads neither, nor does the CLI's ``mequiv`` decision.
+are imported inside the functions that form arrays, and the two result
+records are NamedTuples, so ``import nhrlc.mequiv`` loads neither numpy,
+``cxmat`` nor the data-class module with its ``inspect``, ``ast`` and ``dis``,
+nor does the CLI's ``mequiv`` decision.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 EQUIVALENCE_RTOL = 1e-12
 _last: tuple = (None, None)  # (key, decision) of the last pair decided; refusals are not stored
 
 
-@dataclass(frozen=True)
-class OdeCoefficients:
+class OdeCoefficients(NamedTuple):
     """Monic scalar ODE coefficients, highest derivative first."""
 
     order: int
     coefficients: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class LiouvilleSystem:
+class LiouvilleSystem(NamedTuple):
     """First-order form of two coupled damped circuits.
 
     x1'' + alpha1 x1' + alpha2 x1 = alpha3 x2,

@@ -20,7 +20,7 @@ matrices would silently linearize them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .mequiv import _coincidence
 from .spectral import BiorthogonalSystem
 
 
-@dataclass(frozen=True)
-class MetricPair:
+class MetricPair(NamedTuple):
     """Mutually inverse mapping pair; kind "S" is Hermitian positive."""
 
     s_phi: np.ndarray
@@ -39,8 +38,7 @@ class MetricPair:
     kind: str  # "S" (positive sums) or "T" (crossed sums)
 
 
-@dataclass(frozen=True)
-class IntertwinerReport:
+class IntertwinerReport(NamedTuple):
     """Operator-norm residuals of the three intertwining relations."""
 
     residual_h_sphi: float  # H S_phi - S_phi h

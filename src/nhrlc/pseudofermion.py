@@ -28,7 +28,7 @@ the opposite one in the unbroken phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ PARITY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PT_PROBES = np.array([[1.0, 0.0, 1j, 0.0], [0.0, 1.0, 0.0, 1j]])
 
 
-@dataclass(frozen=True)
-class PseudoFermionPair:
+class PseudoFermionPair(NamedTuple):
     """Ladder pair (c, C) with its parameters and, when identified from a
     circuit, the ladder-adapted eigenbasis."""
 
@@ -66,8 +65,7 @@ class PseudoFermionPair:
     psi_plus: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class FermionizedSystem:
+class FermionizedSystem(NamedTuple):
     """Genuine fermion pair obtained by conjugating with metric square roots."""
 
     a_op: np.ndarray
@@ -131,10 +129,10 @@ def pf_identify(params: CircuitParams, branch: str = "plus") -> PseudoFermionPai
     phi_m, phi_p, dual_m, dual_p = _ladder_basis(system, rho)
     # the [0, 1] entries of |phi-><dual(phi+)| and |phi+><dual(phi-)|, by numpy's product
     a12, b12 = (np.array((phi_m[0], phi_p[0])) * np.conj((dual_p[1], dual_m[1]))).tolist()
-    # pf_construct recomputes gamma; omega = i/gamma = i*(a - b); pf is unshared: no copy
-    pf = pf_construct(a, b, a12, b12, omega=1j * (a - b), rho=rho)
-    vars(pf).update(phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p)
-    return pf
+    # pf_construct recomputes gamma; omega = i/gamma = i*(a - b)
+    return pf_construct(a, b, a12, b12, omega=1j * (a - b), rho=rho)._replace(
+        phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p
+    )
 
 
 def hpf_build(pf: PseudoFermionPair) -> np.ndarray:
@@ -213,8 +211,7 @@ def pt_probe(h, v) -> tuple[np.ndarray, np.ndarray]:
     return a @ (PARITY @ np.conj(vec)), PARITY @ np.conj(a @ vec)
 
 
-@dataclass(frozen=True)
-class PtReport:
+class PtReport(NamedTuple):
     """Commutator probe residuals of H with parity-times-conjugation."""
 
     probe_residuals: tuple[float, float, float, float]

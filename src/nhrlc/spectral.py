@@ -21,7 +21,6 @@ diverge there) and :func:`ep_system` takes over.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +37,7 @@ def pairing(x, y) -> complex:
     return complex(np.vdot(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)))
 
 
-@dataclass(frozen=True)
-class BiorthogonalSystem:
+class BiorthogonalSystem(NamedTuple):
     """Eigenvalues, normalized eigenvectors and their pairings for one circuit."""
 
     phase: Phase
@@ -71,8 +69,7 @@ class BiorthogonalSystem:
         return self.psi_minus, self.psi_plus
 
 
-@dataclass(frozen=True)
-class EpSystem:
+class EpSystem(NamedTuple):
     """Coalesced eigendata at the exceptional point |alpha| = omega0."""
 
     alpha: float

@@ -740,3 +740,5 @@ def test_a_subcommand_loads_only_the_layers_it_runs(args, layers):
     # every layer but mequiv imports numpy at the top; mequiv decides without it
     loads_numpy = bool(re.search(r"\|\s+numpy(\.\w+)*$", stderr, re.M))
     assert loads_numpy == bool(layers - {"mequiv"})
+    if layers == {"mequiv"}:  # its result records are NamedTuples, not dataclasses
+        assert not re.search(r"\|\s+(dataclasses|inspect)$", stderr, re.M)

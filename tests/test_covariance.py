@@ -10,15 +10,16 @@ path, such as pivoting between entries of different units, breaks it. Gate resid
 and verdicts are not values and are left out here.
 """
 
-import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhrlc import (
-    CircuitParams, Phase, build_report, classify, eigensystem, ep_system, metric_pair, pf_identify,
+    CircuitParams, InitialData, Phase, Trajectory, build_report, classify, dynamics, eigensystem,
+    ep_system, metric_pair, pf_identify,
 )
 
 
@@ -115,8 +116,8 @@ KINDS = {
 
 
 @st.composite
-def scaled_pairs(draw):
-    kind = draw(st.sampled_from(sorted(KINDS)))
+def scaled_pairs(draw, kinds=tuple(sorted(KINDS))):
+    kind = draw(st.sampled_from(kinds))
     lo, hi = KINDS[kind]
     zeta = draw(st.floats(lo, hi)) if kind == "ep" else 10.0 ** draw(
         st.floats(math.log10(lo), math.log10(hi)))
@@ -129,7 +130,7 @@ def scaled_pairs(draw):
 
 
 def assert_fields(base, scaled, units, j):
-    assert {f.name for f in dataclasses.fields(base)} == set(units)
+    assert set(base._fields) == set(units)
     for name, unit in units.items():
         assert_image(getattr(base, name), getattr(scaled, name), unit, j, (name,))
 
@@ -161,3 +162,28 @@ def test_the_model_layers_are_exact_images(pair):
     assert_fields(*map(metric_pair, systems), PAIR_UNITS, j)
     for branch in ("plus", "minus"):
         assert_fields(pf_identify(base, branch), pf_identify(scaled, branch), LADDER_UNITS, j)
+
+
+# libm's pow(x, 0.5) misrounds this base's overdamped rate; math.sqrt is correctly rounded
+UP_BASE = (3.4438932671306226, 0.8541250882722223)
+
+
+@example((CircuitParams.from_rates(*UP_BASE), CircuitParams.from_rates(*(4 * x for x in UP_BASE)), 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scaled_pairs(kinds=("up",)))
+def test_the_overdamped_rk_step_is_an_exact_image(pair):
+    """The step cross_check hands the RK route is rk_step over the overdamped rate, so a
+    time: the scaled circuit's step is bitwise the base's over 4^j."""
+    base, scaled, j = pair
+    steps = []
+
+    def recorded(params, init, grid, step):
+        steps.append(step)
+        return Trajectory(grid, np.zeros((grid.size, 2)), "rk")
+
+    with mock.patch.object(dynamics, "evolve_integrated", recorded):
+        for params in (base, scaled):
+            # one sample at 1/omega0, past the step rk_step/rate < 1e-3/omega0
+            grid = np.array([0.0, 1.0 / params.omega0])
+            dynamics.cross_check(params, InitialData(1.0, 0.0, 1.0), grid, method="rk")
+    assert steps[1].hex() == math.ldexp(steps[0], -2 * j).hex(), (base, scaled, steps)

@@ -9,8 +9,6 @@ Points are drawn on the loss and the gain side, omega0 from 1e-3 to 1e6,
 including the near side of the exceptional point.
 """
 
-import dataclasses
-
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -70,7 +68,7 @@ def sqrt_reference(m):
 
 
 def pf_identify_reference(params, branch):
-    """pf_identify with both outer products built in full and a frozen copy for the basis."""
+    """pf_identify with both outer products built in full and the basis set by _replace."""
     system = eigensystem(params)
     rho, other = system.mu_plus.conjugate(), system.mu_minus.conjugate()
     if branch == "minus":
@@ -80,9 +78,7 @@ def pf_identify_reference(params, branch):
     a12 = complex(outer(phi_m, dual_p)[0, 1])
     b12 = complex(outer(phi_p, dual_m)[0, 1])
     pf = pf_construct(a, b, a12, b12, omega=1j * (a - b), rho=rho)
-    return dataclasses.replace(
-        pf, phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p
-    )
+    return pf._replace(phi_minus=phi_m, phi_plus=phi_p, psi_minus=dual_m, psi_plus=dual_p)
 
 
 def size(x) -> float:
@@ -97,8 +93,7 @@ def assert_close(got, want, scale):
 @given(points(), st.sampled_from(("plus", "minus")))
 def test_pf_identify_equals_the_outer_product_formula(params, branch):
     got, want = pf_identify(params, branch), pf_identify_reference(params, branch)
-    for field in dataclasses.fields(want):
-        name = field.name
+    for name in want._fields:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 

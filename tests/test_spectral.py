@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -337,8 +336,8 @@ class TestModes:
 def _bits(system):
     """Every field of a system as raw bytes, so signed zeros count."""
     return {
-        f.name: np.asarray(getattr(system, f.name)).tobytes()
-        for f in dataclasses.fields(system) if f.name != "phase"
+        name: np.asarray(getattr(system, name)).tobytes()
+        for name in system._fields if name != "phase"
     }
 
 
