@@ -19,26 +19,30 @@ critically damped), on the loss (alpha > 0) and the gain (alpha < 0) side.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-
-from .cxmat import as_cmat
+from numbers import Complex, Real
 
 # Exceptional-point detection band, relative to omega0. Exact equality of
 # two derived floats is measure zero; everything inside the band is treated
 # as critically damped.
 EP_BAND_RTOL = 1e-12
 
-MAX_OMEGA0 = float(np.sqrt(np.finfo(float).max))  # omega0^2 is in H: keep it finite
-MAX_ALPHA = float(np.finfo(float).max) / 2  # so is 2*alpha
+MAX_OMEGA0 = math.sqrt(sys.float_info.max)  # omega0^2 is in H: keep it finite
+MAX_ALPHA = sys.float_info.max / 2  # so is 2*alpha
+
+# Rows per block of write_rows: bounds its working memory on long grids.
+CSV_BLOCK = 1024
 
 
 def finite_real(*values) -> bool:
-    """math.isfinite of every value; a complex one, numpy's too, is a TypeError."""
-    if any(isinstance(v, (complex, np.complexfloating)) for v in values):
-        raise TypeError("expected real numbers, got a complex one")
+    """math.isfinite of every value; a complex one, numpy's too, is a TypeError (numpy
+    registers its scalar types with ``numbers``; float and int skip those slower checks)."""
+    for v in values:
+        if not isinstance(v, (float, int)) and isinstance(v, Complex) and not isinstance(v, Real):
+            raise TypeError("expected real numbers, got a complex one")
     return all(map(math.isfinite, values))
 
 
@@ -100,6 +104,8 @@ class CircuitParams:
 
 def hamiltonian(params: CircuitParams) -> np.ndarray:
     """Generator H = i*[[0, 1], [-omega0^2, -2*alpha]] of i*Phi' = H*Phi."""
+    import numpy as np
+
     w0 = params.omega0  # w0 * w0 is rounded correctly, and so scales exactly; w0 ** 2 is not
     return 1j * np.array([[0.0, 1.0], [-w0 * w0, -2.0 * params.alpha]], dtype=complex)
 
@@ -116,7 +122,9 @@ def hermitian_split(h) -> tuple[np.ndarray, np.ndarray]:
     anti-Hermitian and carries all of the resistive loss/gain. Computed from
     the defining combinations, so the symmetry properties hold to rounding.
     """
-    a = as_cmat(h, 2)
+    import nhrlc.cxmat as cxmat
+
+    a = cxmat.as_cmat(h, 2)
     herm = (a + a.conj().T) / 2.0
     # equal to (a - a^dag)/2, but written so herm + anti == a exactly
     anti = a - herm
@@ -135,3 +143,12 @@ def phase_of(alpha: float, omega0: float) -> Phase:
 def classify(params: CircuitParams) -> Phase:
     """Phase of the circuit, by :func:`phase_of` on its rates."""
     return phase_of(params.alpha, params.omega0)
+
+
+def write_rows(fh, header: str, rows) -> None:
+    """Write a CSV header line, then rows of five Python floats and a tag, CSV_BLOCK rows
+    to a write. Values are float ``repr``s and tags plain words: no field needs quoting."""
+    fh.write(f"{header}\n")
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, CSV_BLOCK)):
+        fh.write("".join(f"{a!r},{b!r},{c!r},{d!r},{e!r},{tag}\n" for a, b, c, d, e, tag in block))

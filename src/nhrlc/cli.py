@@ -9,11 +9,12 @@ Four subcommands, all emitting machine-readable output on stdout:
   route-agreement summary on stderr;
 * ``mequiv``   -- JSON equivalence verdict for two explicit matrices.
 
-Both CSV outputs are written by ``dynamics.write_rows``. Each handler imports
+Both CSV outputs are written by ``circuit.write_rows``. Each handler imports
 the layers it runs, and ``import nhrlc.cli`` loads none of them, nor numpy:
-``sweep`` and ``evolve`` load ``circuit``, ``cxmat``, ``errors``, ``spectral``
-and ``dynamics``; ``mequiv`` loads ``mequiv`` alone and decides on Python
-scalars, with no numpy; ``analyze`` loads all nine.
+``sweep`` loads ``circuit``, ``errors`` and ``spectral`` and loops the scalar
+closed form ``spectral.modes`` over a Python grid, with no numpy; ``evolve``
+loads those, ``cxmat`` and ``dynamics``; ``mequiv`` loads ``mequiv`` alone and
+decides on Python scalars, with no numpy; ``analyze`` loads all nine.
 
 Exit codes: 0 on success with all residuals inside their documented
 tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
@@ -22,6 +23,7 @@ tolerances, 1 when a tolerance is violated, 2 on invalid parameters.
 from __future__ import annotations
 
 import argparse
+import cmath  # loaded anyway: spectral and mequiv import it
 import math
 import sys
 from typing import NoReturn
@@ -107,14 +109,22 @@ def _cmd_analyze(parser: _Parser, args) -> int:
     return 1 if result.violations else 0
 
 
-def _cmd_sweep(parser: _Parser, args) -> int:
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num >= 2) bit for bit, allocated up front (a MemoryError at
+    once): k*step + start, step = delta/(num - 1), or k/(num - 1)*delta + start if step = 0."""
+    grid, div, delta = [0.0] * num, num - 1, stop - start
+    step = delta / div
+    for k in range(num - 1):
+        grid[k] = k * step + start if step else k / div * delta + start
+    grid[-1] = stop
+    return grid
 
-    from . import dynamics
-    from .circuit import phase_of
+
+def _cmd_sweep(parser: _Parser, args) -> int:
+    from .circuit import phase_of, write_rows
     from .spectral import modes
 
-    if not np.all(np.isfinite([args.alpha_min, args.alpha_max, args.omega0])):
+    if not all(map(math.isfinite, (args.alpha_min, args.alpha_max, args.omega0))):
         parser.error("--alpha-min, --alpha-max and --omega0 must be finite")
     if not args.alpha_min < args.alpha_max:
         parser.error("--alpha-min must be below --alpha-max")
@@ -122,21 +132,19 @@ def _cmd_sweep(parser: _Parser, args) -> int:
         parser.error("--steps must be at least 2")
     if args.omega0 <= 0:
         parser.error("--omega0 must be positive")
-    if not np.isfinite(args.alpha_max - args.alpha_min):
+    if not math.isfinite(args.alpha_max - args.alpha_min):
         parser.error("--alpha-max minus --alpha-min must be finite")
     try:
-        alphas = np.linspace(args.alpha_min, args.alpha_max, args.steps)
-    except MemoryError as exc:
-        parser.error(str(exc))
-    with np.errstate(all="ignore"):  # a non-finite eigenvalue is refused below
-        branches = modes(alphas, args.omega0)
-    if not np.isfinite([branches.lambda_plus, branches.lambda_minus]).all():
+        alphas = _linspace(args.alpha_min, args.alpha_max, args.steps)
+    except MemoryError:
+        parser.error(f"--steps {args.steps} is too many to hold in memory")
+    branches = [modes(alpha, args.omega0)[:2] for alpha in alphas]  # (lambda+, lambda-)
+    if not all(cmath.isfinite(lam) for pair in branches for lam in pair):
         parser.error("an eigenvalue is not finite between --alpha-min and --alpha-max")
-    dynamics.write_rows(
+    write_rows(
         sys.stdout, "alpha,re_lambda_plus,im_lambda_plus,re_lambda_minus,im_lambda_minus,phase",
-        (alphas, branches.lambda_plus.real, branches.lambda_plus.imag,
-         branches.lambda_minus.real, branches.lambda_minus.imag),
-        [phase_of(a, args.omega0).value for a in map(float, alphas)],
+        ((a, p.real, p.imag, m.real, m.imag, phase_of(a, args.omega0).value)
+         for a, (p, m) in zip(alphas, branches)),
     )
     return 0
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import CircuitParams, Phase, classify, finite_real, hamiltonian
+from .circuit import CSV_BLOCK, CircuitParams, Phase, classify, finite_real, hamiltonian, write_rows
 from .cxmat import expm
 from .errors import TOLERANCES, ExceptionalPointError, GridMismatch, PhaseUnsupported
 from .spectral import eigensystem, expand
@@ -170,13 +170,14 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
         raise ValueError("step must be positive")
     gen = -1j * np.asarray(h, dtype=complex)
     ts = np.asarray(times, dtype=float)
-    if ts.size and np.any(np.diff(ts) <= 0):
+    spans = np.diff(ts)
+    if np.any(spans <= 0):
         raise ValueError("time grid must be strictly increasing")
     state = np.asarray(state0, dtype=complex).copy()
     out = np.empty((ts.size,) + state.shape, dtype=complex)
     if ts.size:
         out[0] = state
-    for k, span in enumerate(np.diff(ts).tolist(), 1):
+    for k, span in enumerate(spans.tolist(), 1):
         substeps = _substeps(span, step)
         h_sub = span / substeps
         for _ in range(substeps):
@@ -187,10 +188,6 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
             state = state + (h_sub / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[k] = state
     return out
-
-
-# Rows per block of write_rows: bounds its working memory on long grids.
-CSV_BLOCK = 1024
 
 
 def _compose(p, q) -> tuple:
@@ -370,26 +367,12 @@ def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP, met
     return routes, route_agreement(routes, rate * step)
 
 
-def write_rows(fh, header: str, columns, tags) -> None:
-    """Write a CSV header line, then a row per entry of five float columns
-    and a tag sequence.
-
-    Each value is its float ``repr`` and each tag a plain word, so no field
-    needs quoting. The rows are formatted and written CSV_BLOCK at a time,
-    from one ``tolist`` of the block's columns.
-    """
-    fh.write(f"{header}\n")
-    for lo in range(0, len(tags), CSV_BLOCK):
-        block = np.array([c[lo:lo + CSV_BLOCK] for c in columns]).tolist()
-        rows = zip(*block, tags[lo:lo + CSV_BLOCK])
-        fh.write("".join(f"{a!r},{b!r},{c!r},{d!r},{e!r},{tag}\n" for a, b, c, d, e, tag in rows))
-
-
 def write_csv(traj: Trajectory, fh) -> None:
-    """Write the trajectory as CSV by :func:`write_rows`, tagged by its method."""
+    """CSV by :func:`write_rows`, tagged by its method; one ``tolist`` per CSV_BLOCK-row slice."""
     times = np.asarray(traj.times, dtype=float)
     x1, x2 = np.asarray(traj.states).T  # .imag of real states is 0.0
-    write_rows(
-        fh, "t,re_x1,im_x1,re_x2,im_x2,method",
-        (times, x1.real, x1.imag, x2.real, x2.imag), [traj.method] * times.size,
-    )
+    columns = (times, x1.real, x1.imag, x2.real, x2.imag)
+    blocks = (np.array([c[lo:lo + CSV_BLOCK] for c in columns]).tolist()
+              for lo in range(0, times.size, CSV_BLOCK))
+    rows = itertools.chain.from_iterable(zip(*b, itertools.repeat(traj.method)) for b in blocks)
+    write_rows(fh, "t,re_x1,im_x1,re_x2,im_x2,method", rows)

@@ -15,18 +15,17 @@ Normalization gauge: n_psi_pm = 1, and phi carries the whole phase-dependent
 product n_phi_pm = -+lambda_mp/(lambda_+ - lambda_-). At the EP the
 eigenvectors coalesce and become self-orthogonal, <phi_EP, psi_EP> = 0;
 :func:`eigensystem` refuses inside the EP band (the normalization products
-diverge there) and :func:`ep_system` takes over.
+diverge there) and :func:`ep_system` takes over. The closed form, :func:`modes`,
+runs on Python scalars; numpy is imported only by the functions that form arrays.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .circuit import CircuitParams, Phase, classify
-from .cxmat import as_cvec2
 from .errors import ExceptionalPointError, NotExceptionalError
 
 _last: tuple = (None, None)  # (params, system) of the last build; refusals are not stored
@@ -34,6 +33,8 @@ _last: tuple = (None, None)  # (params, system) of the last build; refusals are 
 
 def pairing(x, y) -> complex:
     """<x, y>, conjugate-linear in the first slot."""
+    import numpy as np
+
     return complex(np.vdot(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)))
 
 
@@ -84,18 +85,33 @@ class EpSystem(NamedTuple):
 
 
 class Modes(NamedTuple):
-    """Eigenvalues of H and H^dag and the n_phi products, elementwise."""
+    """Eigenvalues of H and H^dag and the n_phi products at one (alpha, omega0)."""
 
-    lambda_plus: np.ndarray
-    lambda_minus: np.ndarray
-    mu_plus: np.ndarray
-    mu_minus: np.ndarray
-    n_phi_plus: np.ndarray
-    n_phi_minus: np.ndarray
+    lambda_plus: complex
+    lambda_minus: complex
+    mu_plus: complex
+    mu_minus: complex
+    n_phi_plus: complex
+    n_phi_minus: complex
 
 
-def modes(alpha, omega0) -> Modes:
-    """Closed-form modes over arrays of (alpha, omega0), in both phases.
+def _div(a: complex, b: complex) -> complex:
+    """a / b as numpy divides: Smith's method, then times the reciprocal of the scaled divisor,
+    which Python's ``/`` divides by; a zero b gives numpy's inf or nan, each part times inf."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        if not br:
+            return complex(ar * math.inf, ai * math.inf)
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+def modes(alpha: float, omega0: float) -> Modes:
+    """Closed-form modes at one finite alpha and omega0 > 0, in both phases.
 
     lambda_pm = -i*alpha +- root, root = sqrt(omega0^2 - alpha^2) (imaginary
     for |alpha| > omega0). The larger-modulus eigenvalue (lambda- for
@@ -104,24 +120,25 @@ def modes(alpha, omega0) -> Modes:
     mu_pm = i*alpha +- root = -lambda_mp; the partner conj(lambda_a) of
     lambda_a has the same index for a complex spectrum, the crossed one for
     an imaginary spectrum. n_phi_pm = -+lambda_mp/(2*root) divides by no
-    eigenvalue and is non-finite at the EP. Zeros are +0.0.
+    eigenvalue and is non-finite at the EP, with no exception. Zeros are +0.0.
+    Python complex results, bit for bit numpy's complex128 arithmetic: Python forms
+    sums and products as numpy does, :func:`_div` its quotients. Arrays are a TypeError.
     """
-    # [()] turns 0-d input into numpy scalars, whose arithmetic is cheaper
-    alpha = np.asarray(alpha, dtype=float)[()]
-    w0 = np.asarray(omega0, dtype=float)[()]
+    alpha, w0 = float(alpha), float(omega0)
     # a root per quartered factor: (omega0 - alpha)*(omega0 + alpha) overflows
-    # past 1e154 and omega0 + alpha past 1.8e308; sqrt(x/4) = sqrt(x)/2 exactly
+    # past 1e154 and omega0 + alpha past 1.8e308; sqrt(x/4) = sqrt(x)/2 exactly.
+    # The root is imaginary where one factor is negative, in the unbroken phase
     w4, a4 = w0 / 4, alpha / 4
-    root = 4 * (np.sqrt((w4 - a4).astype(complex)) * np.sqrt((w4 + a4).astype(complex)))
+    size = 4.0 * (math.sqrt(abs(w4 - a4)) * math.sqrt(abs(w4 + a4)))
+    root = complex(size, 0.0) if abs(a4) <= w4 else complex(0.0, size)
     # sign bit, not alpha < 0: at alpha = -0.0 either labelling gives the same pair
-    gain = np.signbit(alpha)
-    big = -1j * alpha - np.copysign(1.0, alpha) * root
-    small = -w0 * (w0 / big)
-    lam_p, lam_m = np.where(gain, (big, small), (small, big)) + 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_phi_p = -lam_m / root / 2.0 + 0.0
-        n_phi_m = lam_p / root / 2.0 + 0.0
-    return Modes(lam_p, lam_m, -lam_m + 0.0, -lam_p + 0.0, n_phi_p, n_phi_m)
+    gain = math.copysign(1.0, alpha) < 0
+    big = -1j * alpha - (-1 + 0j if gain else 1 + 0j) * root
+    small = complex(-w0) * _div(complex(w0), big)
+    lam_p, lam_m = (big + 0j, small + 0j) if gain else (small + 0j, big + 0j)
+    n_phi_p = _div(-lam_m, root) / (2 + 0j) + 0j
+    n_phi_m = _div(lam_p, root) / (2 + 0j) + 0j
+    return Modes(lam_p, lam_m, -lam_m + 0j, -lam_p + 0j, n_phi_p, n_phi_m)
 
 
 def eigensystem(params: CircuitParams) -> BiorthogonalSystem:
@@ -146,8 +163,9 @@ def _build(params: CircuitParams) -> BiorthogonalSystem:
         raise ExceptionalPointError(
             "eigensystem is ill-conditioned at the exceptional point; use ep_system"
         )
-    alpha, w0 = params.alpha, params.omega0
-    m = Modes(*map(complex, modes(alpha, w0)))
+    import numpy as np
+
+    m = modes(params.alpha, params.omega0)
 
     phi_p = m.n_phi_plus * np.array([1.0, -1j * m.lambda_plus], dtype=complex)
     phi_m = m.n_phi_minus * np.array([1.0, -1j * m.lambda_minus], dtype=complex)
@@ -160,8 +178,8 @@ def _build(params: CircuitParams) -> BiorthogonalSystem:
 
     return BiorthogonalSystem(
         phase=phase,
-        alpha=alpha,
-        omega0=w0,
+        alpha=params.alpha,
+        omega0=params.omega0,
         **m._asdict(),
         n_psi_plus=1.0 + 0.0j,
         n_psi_minus=1.0 + 0.0j,
@@ -180,6 +198,8 @@ def ep_system(params: CircuitParams) -> EpSystem:
     """Coalesced, self-orthogonal eigenvectors at |alpha| = omega0, loss or gain."""
     if classify(params) is not Phase.EXCEPTIONAL:
         raise NotExceptionalError("parameters are away from the exceptional point")
+    import numpy as np
+
     alpha = params.alpha
     return EpSystem(
         alpha=alpha,
@@ -196,6 +216,8 @@ def expand(system: BiorthogonalSystem, f) -> tuple[complex, complex]:
     In the broken phase b_pm = <psi_pm, f>; in the unbroken phase the
     crossed pairings resolve the identity, so b_pm = <psi_mp, f>.
     """
-    vec = as_cvec2(f)
+    import nhrlc.cxmat as cxmat
+
+    vec = cxmat.as_cvec2(f)
     dual_p, dual_m = system.duals
     return pairing(dual_p, vec), pairing(dual_m, vec)

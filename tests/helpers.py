@@ -21,6 +21,7 @@ from nhrlc import (
 )
 from nhrlc.mequiv import _coincidence
 from nhrlc.pseudofermion import _ladder_basis
+from nhrlc.spectral import Modes
 
 
 # Real inputs of every kind the finite checks see: Python and numpy scalars,
@@ -178,10 +179,39 @@ def reference_trajectory_csv(traj):
     return buf.getvalue()
 
 
+def reference_modes(alpha, omega0) -> Modes:
+    """The closed-form modes over numpy arrays, kept frozen as the numpy arithmetic
+    that the scalar :func:`nhrlc.spectral.modes` reproduces bit for bit."""
+    # [()] turns 0-d input into numpy scalars, whose arithmetic is cheaper
+    alpha = np.asarray(alpha, dtype=float)[()]
+    w0 = np.asarray(omega0, dtype=float)[()]
+    # a root per quartered factor: (omega0 - alpha)*(omega0 + alpha) overflows
+    # past 1e154 and omega0 + alpha past 1.8e308; sqrt(x/4) = sqrt(x)/2 exactly
+    w4, a4 = w0 / 4, alpha / 4
+    root = 4 * (np.sqrt((w4 - a4).astype(complex)) * np.sqrt((w4 + a4).astype(complex)))
+    # sign bit, not alpha < 0: at alpha = -0.0 either labelling gives the same pair
+    gain = np.signbit(alpha)
+    big = -1j * alpha - np.copysign(1.0, alpha) * root
+    small = -w0 * (w0 / big)
+    lam_p, lam_m = np.where(gain, (big, small), (small, big)) + 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_phi_p = -lam_m / root / 2.0 + 0.0
+        n_phi_m = lam_p / root / 2.0 + 0.0
+    return Modes(lam_p, lam_m, -lam_m + 0.0, -lam_p + 0.0, n_phi_p, n_phi_m)
+
+
+def mapped_modes(alpha, omega0) -> Modes:
+    """The scalar :func:`nhrlc.spectral.modes` mapped over arrays: a Modes of complex arrays."""
+    alpha, omega0 = np.broadcast_arrays(np.asarray(alpha, dtype=float), omega0)
+    points = [modes(a, w0) for a, w0 in zip(alpha.ravel().tolist(), omega0.ravel().tolist())]
+    return Modes(*(np.array(field, dtype=complex).reshape(alpha.shape) for field in zip(*points)))
+
+
 def reference_sweep_csv(omega0, alpha_min, alpha_max, steps):
-    """Sweep CSV written row by row, each phase from its own CircuitParams."""
+    """Sweep CSV written row by row from np.linspace and :func:`reference_modes`,
+    each phase from its own CircuitParams."""
     alphas = np.linspace(alpha_min, alpha_max, steps)
-    branches = modes(alphas, omega0)
+    branches = reference_modes(alphas, omega0)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(

@@ -7,13 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nhrlc import (
     CircuitParams, build_report, eigensystem, is_similar, m_equivalent, report, solve_intertwiners,
 )
-from nhrlc.cli import main
+from nhrlc.cli import _linspace, main
 
 from helpers import PAIR_KINDS, designed_pair, fresh_python, reference_sweep_csv
 
@@ -293,6 +293,20 @@ class TestSweep:
         )
         assert code == 0 and err == ""
         assert out == reference_sweep_csv(omega0, alpha_min, alpha_max, steps)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.floats(-1e308, 1e308), st.floats(-1e308, 1e308), st.integers(2, 300))
+    @example(0.0, 1.0, 2)
+    @example(-8.9e307, 8.9e307, 2)  # huge magnitudes, a finite span
+    @example(-8.9e307, 8.9e307, 1001)
+    @example(0.0, 5e-324, 5)  # step = 5e-324/4 underflows to 0
+    @example(-1e-320, 1e-320, 20001)
+    @example(1.0 - 2e-12, 1.0 + 2e-12, 9)
+    def test_grid_is_linspace_bitwise(self, start, stop, num):
+        start, stop = sorted((start, stop))
+        assume(start < stop and np.isfinite(stop - start))
+        want = np.linspace(start, stop, num).tolist()
+        assert [float.hex(a) for a in _linspace(start, stop, num)] == list(map(float.hex, want))
 
     def test_ep_band_rows_are_labelled(self, capsys):
         _, out, _ = run_cli(
@@ -723,7 +737,7 @@ def test_grid_too_large_to_allocate_exit_2_with_one_line(capsys, argv):
 
 @pytest.mark.parametrize("args, layers", [
     (["-m", "nhrlc.cli", "sweep", "--omega0", "1", "--alpha-min", "0", "--alpha-max", "2",
-      "--steps", "5"], {"circuit", "cxmat", "errors", "spectral", "dynamics"}),
+      "--steps", "5"], {"circuit", "errors", "spectral"}),
     (["-m", "nhrlc.cli", "mequiv", "--matrix-a", "1", "0", "0", "0", "0", "0", "1", "0",
       "--matrix-b", "1", "0", "1", "0", "0", "0", "1", "0"], {"mequiv"}),
     (["-m", "nhrlc.cli", "evolve", "--alpha", "0.3", "--omega0", "1", "--i0", "1", "--v0", "0",
@@ -733,12 +747,14 @@ def test_grid_too_large_to_allocate_exit_2_with_one_line(capsys, argv):
      {"circuit", "cxmat", "errors", "spectral", "dynamics", "mequiv", "metric",
       "pseudofermion", "report"}),
     (["-c", "import nhrlc"], set()),
-], ids=["sweep", "mequiv", "evolve", "analyze", "import nhrlc"])
+    (["-c", "import nhrlc.spectral"], {"circuit", "errors", "spectral"}),
+], ids=["sweep", "mequiv", "evolve", "analyze", "import nhrlc", "import nhrlc.spectral"])
 def test_a_subcommand_loads_only_the_layers_it_runs(args, layers):
     stderr = fresh_python("-X", "importtime", *args).stderr
     assert set(re.findall(r"\|\s+nhrlc\.(\w+)$", stderr, re.M)) == layers
-    # every layer but mequiv imports numpy at the top; mequiv decides without it
+    # cxmat and the layers over it import numpy at the top; circuit, errors, spectral
+    # and mequiv import it only inside the functions that form arrays
     loads_numpy = bool(re.search(r"\|\s+numpy(\.\w+)*$", stderr, re.M))
-    assert loads_numpy == bool(layers - {"mequiv"})
+    assert loads_numpy == ("cxmat" in layers)
     if layers == {"mequiv"}:  # its result records are NamedTuples, not dataclasses
         assert not re.search(r"\|\s+(dataclasses|inspect)$", stderr, re.M)

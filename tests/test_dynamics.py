@@ -853,7 +853,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
     def test_block_edges(self, n):
-        assert nhrlc.dynamics.CSV_BLOCK == 1024
+        assert nhrlc.circuit.CSV_BLOCK == 1024
         grid = np.linspace(0.0, 1e-3 * max(n - 1, 0), n)
         traj = evolve_spectral(GAIN_REF, REST, grid)
         buf = io.StringIO()

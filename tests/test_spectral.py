@@ -1,7 +1,10 @@
+import cmath
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhrlc import (
     CircuitParams,
@@ -23,7 +26,10 @@ from nhrlc import (
     positive_pair,
     spectral,
 )
+from nhrlc.circuit import MAX_ALPHA, MAX_OMEGA0
 from nhrlc.report import TOLERANCES
+
+from helpers import mapped_modes, reference_modes
 
 SQ2 = np.sqrt(2.0)
 
@@ -264,7 +270,7 @@ class TestModes:
         # BP with loss and gain, UP, and points near both sides of the EP
         alphas = np.array([0.0, 0.3, 0.999, -0.3, -0.999, 1.001, 1.25, 3.0, 40.0])
         for w0 in (0.75, 1.0, 1e4):
-            grid = modes(alphas * w0, w0)
+            grid = mapped_modes(alphas * w0, w0)
             for k, alpha in enumerate(alphas * w0):
                 sys_ = eigensystem(CircuitParams.from_rates(alpha, w0))
                 for field in self.FIELDS:
@@ -281,7 +287,7 @@ class TestModes:
     def test_gain_eigenvalues_are_the_loss_adjoint_eigenvalues_bitwise(self, omega0):
         # lambda_pm(-alpha) = mu_pm(alpha): the gain side needs no mirror path
         alphas = np.geomspace(1e-6, 1e6, 241) * omega0
-        gain, loss = modes(-alphas, omega0), modes(alphas, omega0)
+        gain, loss = mapped_modes(-alphas, omega0), mapped_modes(alphas, omega0)
         for lam, mu in ((gain.lambda_plus, loss.mu_plus), (gain.lambda_minus, loss.mu_minus)):
             assert lam.tobytes() == mu.tobytes()
 
@@ -289,7 +295,7 @@ class TestModes:
     def test_no_cancellation_or_overflow(self, alpha):
         # alpha - sqrt(alpha^2 - 1) ~ 1/(2 alpha) loses every digit when
         # subtracted, and alpha^2 overflows past 1e154
-        got = modes(np.array([alpha, -alpha]), 1.0)
+        got = mapped_modes(np.array([alpha, -alpha]), 1.0)
         np.testing.assert_allclose(got.lambda_plus, [-0.5j / alpha, 2j * alpha], rtol=1e-15)
         np.testing.assert_allclose(got.lambda_minus, [-2j * alpha, 0.5j / alpha], rtol=1e-15)
 
@@ -321,16 +327,50 @@ class TestModes:
         assert got.n_phi_plus == pytest.approx(1.0, rel=1e-15)
 
     def test_exceptional_point_is_warning_free(self):
-        got = modes(np.array([1.0, -1.0]), 1.0)
+        got = mapped_modes(np.array([1.0, -1.0]), 1.0)
         np.testing.assert_array_equal(got.lambda_plus, got.lambda_minus)
         assert not np.any(np.isfinite(got.n_phi_plus))
 
     def test_no_negative_zeros(self):
-        got = modes(np.array([0.0, 2.0, -2.0]), 1.0)
+        got = mapped_modes(np.array([0.0, 2.0, -2.0]), 1.0)
         for field in self.FIELDS[:4]:
             values = getattr(got, field)
             assert not np.any(np.signbit(values.real) & (values.real == 0)), field
             assert not np.any(np.signbit(values.imag) & (values.imag == 0)), field
+
+    # omega0 from subnormal to MAX_OMEGA0; alpha in BP or UP, loss or gain, in the EP band
+    # or at the exact EP, a signed zero, or anywhere up to MAX_ALPHA in size
+    OMEGA0 = st.one_of(
+        st.floats(1e-300, MAX_OMEGA0),
+        st.sampled_from([5e-324, 4e-323, 1e-310, 2.2250738585072014e-308, MAX_OMEGA0]),
+    )
+    ALPHA_OF = st.one_of(
+        st.floats(-1, 1).map(lambda u: lambda w0: u * w0),  # BP, or the EP at +-1
+        st.floats(1, 1e6).map(lambda u: lambda w0: u * w0),  # UP, loss
+        st.floats(-1e6, -1).map(lambda u: lambda w0: u * w0),  # UP, gain
+        st.integers(-3000, 3000).map(lambda k: lambda w0: w0 * (1 + k * 2.0 ** -52)),  # EP band
+        st.integers(-3000, 3000).map(lambda k: lambda w0: -w0 * (1 + k * 2.0 ** -52)),
+        st.sampled_from([1.0, -1.0]).map(lambda s: lambda w0: s * w0),  # the exact EP
+        st.sampled_from([0.0, -0.0]).map(lambda a: lambda w0: a),
+        st.floats(-MAX_ALPHA, MAX_ALPHA).map(lambda a: lambda w0: a),
+    )
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(OMEGA0, ALPHA_OF)
+    def test_scalars_equal_the_numpy_arithmetic_bitwise(self, omega0, alpha_of):
+        alpha = alpha_of(omega0)
+        got = modes(alpha, omega0)  # no exception and, as RuntimeWarnings are errors, no warning
+        with np.errstate(all="ignore"):  # the frozen numpy form warns where omega0/4 underflows
+            want = reference_modes(alpha, omega0)
+        assert all(type(value) is complex for value in got)
+        bits = [(float.hex(z.real), float.hex(z.imag)) for z in map(complex, want)]
+        assert [(float.hex(z.real), float.hex(z.imag)) for z in got] == bits, (alpha, omega0)
+        if abs(alpha) == omega0:
+            assert not cmath.isfinite(got.n_phi_plus) and not cmath.isfinite(got.n_phi_minus)
+
+    def test_an_array_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            modes(np.array([0.3, 2.0]), 1.0)
 
 
 def _bits(system):
