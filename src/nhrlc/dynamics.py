@@ -17,8 +17,9 @@
   to the m-th power. The states of a uniform grid from 0 double: Phi_{s+j} =
   Phi_j + (M^s - I) Phi_j, or M^s Phi_j, for j < s, in ceil(log2(n + 1))
   passes; other grids step Phi_{k+1} = Phi_k + D_k Phi_k, or M_k Phi_k.
-  Two one-entry caches prove the report's grid once: uniform_grid keeps its last
-  linspace by (n*dt, n), evolve_integrated the (shape, bytes) of its last uniform grid.
+  One one-entry cache proves the report's grid once: uniform_grid keeps its last
+  linspace by (n*dt, n), read-only, and evolve_integrated takes a grid with its shape
+  and bytes as uniform from 0.
 
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
@@ -72,13 +73,13 @@ class Trajectory(NamedTuple):
     method: str
 
 
-_grid: tuple = (None, None)  # ((n*dt, n), np.linspace) of the last uniform_grid call
-_uniform: tuple | None = None  # (shape, bytes) of the last grid evolve_integrated proved uniform
+_grid: tuple = (None, None)  # ((n*dt, n), read-only np.linspace) of the last uniform_grid call
 
 
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     """Inclusive uniform grid from 0 to t_max with step dt, checked on every call; a repeat
-    call with the last (n*dt, n), all np.linspace sees, copies the memo into a fresh array."""
+    call with the last (n*dt, n), all np.linspace sees, copies the memo into a fresh array.
+    The memo is finite and strictly increasing: evolve_integrated trusts its bytes."""
     global _grid
     if not finite_real(t_max, dt):
         raise ValueError("t_max and dt must be finite")
@@ -88,9 +89,13 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     if not math.isfinite(ratio):
         raise ValueError("t_max / dt must be finite")
     n = int(round(ratio))
+    if not math.isfinite(n * dt):
+        raise ValueError("round(t_max / dt) * dt must be finite")
     key, last = (n * dt, n), _grid
     if key != last[0]:
-        last = _grid = (key, np.linspace(0.0, n * dt, n + 1))
+        grid = np.linspace(0.0, n * dt, n + 1)
+        grid.flags.writeable = False
+        last = _grid = (key, grid)
     return last[1].copy()
 
 
@@ -265,15 +270,16 @@ def evolve_integrated(
     Over 10^4 intervals the states stay within
     1.0e-14 relative of the stepwise loop at the gain point (-0.3, 1) and
     1.2e-13 at (-0.8, 1.8), far below the O(step^4) error the gates allow.
-    A grid with the shape and bytes of the last one found uniform from 0 skips
-    the grid checks and the linspace test; a refused or late-start grid is not kept.
+    A grid of three or more samples with the shape and bytes of uniform_grid's memo
+    is linspace from 0 and skips the grid checks and the linspace test.
     """
-    global _uniform
     if not step > 0:
         raise ValueError("step must be positive")
     ts = np.asarray(times, dtype=float)
-    key = (ts.shape, ts.tobytes())
-    full, uniform = ts, key == _uniform  # a hit passed the checks below as linspace from 0
+    memo = _grid[1]
+    uniform = (memo is not None and memo.size > 2 and memo.shape == ts.shape
+               and memo.tobytes() == ts.tobytes())
+    full = ts
     if not uniform:
         if not np.all(np.isfinite(ts)):
             raise ValueError("time grid must be finite")
@@ -282,7 +288,6 @@ def evolve_integrated(
         if not np.all((spans > 0) & np.isfinite(spans)):
             raise ValueError("time grid must be strictly increasing")
         uniform = spans.size > 1 and np.array_equal(full, np.linspace(0.0, full[-1], full.size))
-        _uniform = key if uniform and full is ts else _uniform  # never a refused or late grid
     n = full.size - 1
     h = hamiltonian(params)
     x = np.empty((2, full.size))  # -iH and Phi(0) are real: so are the states
@@ -346,16 +351,18 @@ def route_agreement(trajectories: dict, rk_step: float) -> list:
     return out
 
 
-def cross_check(params: CircuitParams, init, grid, rk_step: float = RK_STEP, method="all"):
+def cross_check(params: CircuitParams, init, grid, method="all"):
     """(trajectories by route name, their route_agreement pairs) on a grid from 0. "all"
     runs "closed" in the broken phase only, the spectral route by its method tag, then
-    "rk"; another ``method`` runs that route alone. RK steps h = min(rk_step/r, spacing)
-    seconds, r = max|lambda| the fastest rate, and its pairs are bounded at r*h."""
+    "rk"; "closed", "spectral" or "rk" runs that route alone. RK steps h = min(RK_STEP/r,
+    spacing) seconds, r = max|lambda| the fastest rate, and its pairs are bounded at r*h."""
+    if method not in ("all", "closed", "spectral", "rk"):
+        raise ValueError(f"unknown method {method!r}: expected all, closed, spectral or rk")
     phase, rate = classify(params), params.omega0
     if phase is Phase.UNBROKEN:  # overdamped: |alpha| + sqrt(alpha^2 - omega0^2)
         a = abs(params.alpha)
         rate = a + math.sqrt(a - rate) * math.sqrt(a + rate)
-    step = min([rk_step / rate, *grid[1:2]])  # grid[1] is the spacing; keeps a NaN rk_step
+    step = min([RK_STEP / rate, *grid[1:2]])  # grid[1] is the spacing
     routes = {}
     if method == "closed" or (method == "all" and phase is Phase.BROKEN):
         routes["closed"] = evolve_closed_form(params, init, grid)

@@ -3,9 +3,9 @@
 The report is a plain JSON-serializable dict (schema 1): complex numbers are
 {"re": x, "im": y} objects, matrices nested lists of those. Every residual is a
 gate, bounded by ``errors.TOLERANCES`` or the route pairs of ``dynamics.cross_check``
-and judged by ``errors.exceeds``; those and ``RK_STEP``, ``rk_tolerance`` and
-``route_agreement`` are bound here too. :func:`build_report` returns the violated
-gates alongside the report so callers can self-diagnose.
+and judged by ``errors.exceeds``; those and ``RK_STEP`` and ``rk_tolerance`` are bound
+here too. :func:`build_report` returns the violated gates alongside the report so
+callers can self-diagnose.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamics, metric, pseudofermion
 from .circuit import CircuitParams, Phase, classify, hamiltonian
 from .cxmat import operator_norm, trace_det
-from .dynamics import RK_STEP, cross_check, rk_tolerance, route_agreement  # noqa: F401
+from .dynamics import RK_STEP, cross_check, rk_tolerance  # noqa: F401
 from .errors import TOLERANCES, ExistenceViolation, exceeds
 from .spectral import ep_system, eigensystem
 
@@ -38,15 +38,9 @@ class ReportResult(NamedTuple):
     violations: list[str]
 
 
-def build_report(
-    params: CircuitParams,
-    t_max: float = 10.0,
-    dt: float = 0.01,
-    rk_step: float = RK_STEP,
-    i0: float = 1.0,
-    v0: float = 0.0,
-) -> ReportResult:
-    """Assemble the full spectral/metric/ladder/dynamics report."""
+def build_report(params: CircuitParams, t_max: float = 10.0, dt: float = 0.01) -> ReportResult:
+    """Assemble the full spectral/metric/ladder/dynamics report; the dynamics start from
+    (I0, V0) = (1, 0) on uniform_grid(t_max, dt)."""
     phase = classify(params)
     h = hamiltonian(params)
     violations: list[str] = []
@@ -159,15 +153,9 @@ def build_report(
     report["equivalence"] = {"trace": c2j(tr), "det": c2j(det)}
 
     grid = dynamics.uniform_grid(t_max, dt)
-    init = dynamics.InitialData(
-        i0=i0, v0=v0, inductance=params.inductance if params.inductance else 1.0
-    )
-    dyn: dict = {
-        "t_max": float(t_max),
-        "dt": float(dt),
-        "rk_step": float(rk_step),
-    }
-    for name_a, name_b, err, _, bound in cross_check(params, init, grid, rk_step)[1]:
+    init = dynamics.InitialData(i0=1.0, v0=0.0, inductance=params.inductance or 1.0)
+    dyn: dict = {"t_max": float(t_max), "dt": float(dt), "rk_step": dynamics.RK_STEP}
+    for name_a, name_b, err, _, bound in cross_check(params, init, grid)[1]:
         key = f"{name_a}_vs_{name_b}"
         dyn[key] = check(key, err, bound)
     report["dynamics"] = dyn

@@ -119,6 +119,11 @@ class TestUniformGrid:
         with pytest.raises(ValueError, match="t_max / dt must be finite"):
             uniform_grid(t_max, dt)
 
+    def test_rejects_an_overflowing_grid_end(self):
+        # round(t_max / dt) = 3 steps of 0.7e308 overflow: linspace would end at inf
+        with pytest.raises(ValueError, match="must be finite"):
+            uniform_grid(1.7976931348623157e308, 0.7e308)
+
     def test_each_call_returns_a_fresh_writable_linspace(self, monkeypatch):
         monkeypatch.setattr(nhrlc.dynamics, "_grid", (None, None))
         # (10.004, 0.01) rounds to the (n*dt, n) of (10, 0.01): a repeat call; (10, 0.02) is not
@@ -565,12 +570,13 @@ class TestIntegrated:
 
 
 class TestGridCache:
-    """evolve_integrated gives each grid the same verdict and states with its cache
-    of the last uniform grid warm as cleared."""
+    """evolve_integrated takes a grid of three or more samples with the shape and bytes of
+    uniform_grid's memo as uniform from 0; every other grid gets the states or the refusal
+    it gets with the memo cleared."""
 
     @pytest.fixture(autouse=True)
     def cleared(self, monkeypatch):
-        monkeypatch.setattr(nhrlc.dynamics, "_uniform", None)
+        monkeypatch.setattr(nhrlc.dynamics, "_grid", (None, None))
 
     @staticmethod
     def outcome(grid):
@@ -581,43 +587,69 @@ class TestGridCache:
             return type(exc), str(exc)
         return states.shape, states.tobytes()
 
-    def test_a_repeat_uniform_grid_is_proved_once(self, monkeypatch):
+    @classmethod
+    def cold(cls, grid):
+        """The outcome with the memo cleared; the memo is put back after."""
+        memo, nhrlc.dynamics._grid = nhrlc.dynamics._grid, (None, None)
+        try:
+            return cls.outcome(grid)
+        finally:
+            nhrlc.dynamics._grid = memo
+
+    def test_a_memo_grid_makes_no_linspace_call(self, monkeypatch):
         grid = uniform_grid(10.0, 0.01)
+        expected = self.cold(grid)
         calls, linspace = [], np.linspace
         monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
-        first = self.outcome(grid)
-        assert self.outcome(grid.copy()) == first  # equal bytes in another array: a hit
-        assert len(calls) == 1
-        nhrlc.dynamics._uniform = None
-        assert self.outcome(grid) == first and len(calls) == 2
+        assert self.outcome(grid) == expected
+        assert self.outcome(grid.copy()) == expected  # equal bytes in another array: a hit
+        assert calls == []
 
-    @pytest.mark.parametrize("edit", ["one-ulp", "nan", "inf", "swap", "row"])
-    def test_an_edited_grid_gets_the_verdict_of_a_cleared_cache(self, edit):
-        grid = uniform_grid(10.0, 0.01)
-        edited = grid.copy()
+    @pytest.mark.parametrize(
+        "edit", ["one-ulp", "nan", "inf", "swap", "row", "negative-zero", "two-sample",
+                 "one-sample"],
+    )
+    def test_an_edited_grid_gets_the_outcome_of_a_cleared_memo(self, edit):
+        edited = uniform_grid(10.0, 0.01)
         if edit == "one-ulp":
             edited[500] = np.nextafter(edited[500], np.inf)
         elif edit in ("nan", "inf"):
             edited[500] = float(edit)
         elif edit == "swap":
             edited[[499, 500]] = edited[[500, 499]]
-        else:
-            edited = edited.reshape(1, -1)  # the uniform grid's bytes in another shape
-        expected = self.outcome(edited)
-        assert (expected[0] is ValueError) == (edit != "one-ulp")  # one-ulp: the recurrence
-        assert self.outcome(edited) == expected  # a refused grid is not stored
-        self.outcome(grid)
+        elif edit == "row":
+            edited = edited.reshape(1, -1)  # the memo's bytes in another shape
+        elif edit == "negative-zero":
+            edited[0] = -0.0
+        else:  # the memo itself, too short to be taken as uniform
+            edited = uniform_grid(0.1, 0.1) if edit == "two-sample" else uniform_grid(0.1, 1.0)
+            assert edited.size == (2 if edit == "two-sample" else 1)
+        expected = self.cold(edited)
+        assert (expected[0] is ValueError) == (edit in ("nan", "inf", "swap", "row"))
         assert self.outcome(edited) == expected
 
-    def test_a_late_start_grid_is_never_stored(self):
+    def test_a_late_start_grid_keeps_the_doubling_path(self, monkeypatch):
         late = uniform_grid(10.0, 0.01)[1:]  # with 0 prefixed, bitwise linspace: the doubling
+        calls, propagator = [], nhrlc.dynamics._interval_propagator
+        monkeypatch.setattr(nhrlc.dynamics, "_interval_propagator",
+                            lambda *a: calls.append(a) or propagator(*a))
         first = self.outcome(late)
-        assert nhrlc.dynamics._uniform is None
-        assert self.outcome(late) == first
+        assert len(calls) == 1  # one length for the whole grid; the recurrence takes several
         full = np.concatenate([[0.0], late])
         loop = integrate_rk4(hamiltonian(GAIN_REF), initial_state(REST, GAIN_REF), full, 1e-3)[1:]
         states = np.frombuffer(first[1]).reshape(first[0])
         assert np.abs(states - loop).max() <= 1e-12 * np.abs(loop).max()
+
+    def test_the_memo_is_read_only_and_kept_from_its_copies(self):
+        grid = uniform_grid(10.0, 0.01)
+        memo = nhrlc.dynamics._grid[1]
+        before = memo.tobytes()
+        assert not memo.flags.writeable and not np.shares_memory(grid, memo)
+        with pytest.raises(ValueError, match="read-only"):
+            memo[0] = 1.0
+        grid[:] = np.nan
+        assert nhrlc.dynamics._grid[1] is memo and memo.tobytes() == before
+        assert uniform_grid(10.0, 0.01).tobytes() == before
 
 
 class TestCompare:
@@ -781,6 +813,12 @@ class TestThreeWayAgreement:
             assert compare(closed, spectral)[0] < 1e-10
             assert compare(closed, rk)[0] < 1e-6
             assert compare(spectral, rk)[0] < 1e-6
+
+    @pytest.mark.parametrize("method", ["bogus", "ALL", None])
+    def test_cross_check_refuses_an_unknown_method(self, method):
+        # an unknown method used to run no route and so fail no pair
+        with pytest.raises(ValueError, match="all, closed, spectral or rk"):
+            cross_check(BP_REF, REST, uniform_grid(1.0, 0.1), method=method)
 
 
 class TestCsv:
