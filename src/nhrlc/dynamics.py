@@ -8,18 +8,9 @@
   exceptional point this degenerates and the route falls back to the exact
   matrix exponential of the Jordan block;
 * integrated: fixed-step classical 4th-order Runge-Kutta on i*Phi' = H*Phi,
-  deterministic and reproducible, used as the independent cross-check.
-  The generator is constant, so RK4 over one grid interval is a fixed real
-  2x2 propagator M, kept as D = M - I so that the rounding of its diagonal
-  near 1 does not add up, and as M itself once it has decayed to max|M| < 1/2,
-  where D = M - I would keep M only to eps absolute; each distinct interval
-  length gets its propagator from one one-substep integrate_rk4 call, raised
-  to the m-th power. The states of a uniform grid from 0 double: Phi_{s+j} =
-  Phi_j + (M^s - I) Phi_j, or M^s Phi_j, for j < s, in ceil(log2(n + 1))
-  passes; other grids step Phi_{k+1} = Phi_k + D_k Phi_k, or M_k Phi_k.
-  One one-entry cache proves the report's grid once: uniform_grid keeps its last
-  linspace by (n*dt, n), read-only, and evolve_integrated takes a grid with its shape
-  and bytes as uniform from 0.
+  deterministic and reproducible, used as the independent cross-check; the
+  constant generator makes RK4 over an interval a fixed 2x2 propagator, see
+  evolve_integrated.
 
 At the exceptional point the spectral route's matrix exponential is taken
 for the whole grid in one batched call.
@@ -45,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import CSV_BLOCK, CircuitParams, Phase, classify, finite_real, hamiltonian, write_rows
-from .cxmat import expm
+from .cxmat import _mul, expm
 from .errors import TOLERANCES, ExceptionalPointError, GridMismatch, PhaseUnsupported
 from .spectral import eigensystem, expand
 
@@ -99,6 +90,14 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     return last[1].copy()
 
 
+def _as_grid(times) -> np.ndarray:
+    """A time grid as a one-dimensional float64 array; any other shape is refused."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1:
+        raise ValueError("time grid must be one-dimensional")
+    return ts
+
+
 def initial_state(init: InitialData, params: CircuitParams) -> np.ndarray:
     """Phi(0) = (I0, I'(0)) with I'(0) = -alpha*I0 - V0/L."""
     return np.array(
@@ -112,7 +111,7 @@ def evolve_closed_form(params: CircuitParams, init: InitialData, times) -> Traje
         raise PhaseUnsupported("closed-form evolution covers the broken phase only")
     alpha, w0 = params.alpha, params.omega0
     wd = math.sqrt(w0 - alpha) * math.sqrt(w0 + alpha)  # w0**2 underflows below 1.5e-154
-    ts = np.asarray(times, dtype=float)
+    ts = _as_grid(times)
     amp_cos = init.i0
     amp_sin = -init.v0 / (init.inductance * wd)
     states = np.empty((ts.size, 2))
@@ -134,7 +133,7 @@ def evolve_spectral(params: CircuitParams, init: InitialData, times) -> Trajecto
     Jordan-split matrix exponential exp(-iHt) = D exp(omega0*t*G) D^-1, with
     D = diag(1, omega0) and G = [[0, 1], [-1, -2*alpha/omega0]], tagged "expm".
     """
-    ts = np.asarray(times, dtype=float)
+    ts = _as_grid(times)
     state0 = initial_state(init, params)
     try:
         system = eigensystem(params)
@@ -162,6 +161,17 @@ def _substeps(span: float, step: float) -> int:
     return max(1, math.ceil(ratio - 1e-12))
 
 
+def _rk_spans(ts: np.ndarray) -> np.ndarray:
+    """The intervals of an RK grid, refused unless its times are finite and strictly
+    increasing with finite intervals."""
+    if not np.isfinite(ts).all():
+        raise ValueError("time grid must be finite")
+    spans = np.diff(ts)
+    if not ((spans > 0) & np.isfinite(spans)).all():
+        raise ValueError("time grid must be strictly increasing")
+    return spans
+
+
 def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     """Fixed-step RK4 states of i*Phi' = H*Phi on the given grid.
 
@@ -174,10 +184,8 @@ def integrate_rk4(h, state0, times, step: float) -> np.ndarray:
     if not step > 0:
         raise ValueError("step must be positive")
     gen = -1j * np.asarray(h, dtype=complex)
-    ts = np.asarray(times, dtype=float)
-    spans = np.diff(ts)
-    if np.any(spans <= 0):
-        raise ValueError("time grid must be strictly increasing")
+    ts = _as_grid(times)
+    spans = _rk_spans(ts)
     state = np.asarray(state0, dtype=complex).copy()
     out = np.empty((ts.size,) + state.shape, dtype=complex)
     if ts.size:
@@ -219,9 +227,7 @@ def _times(p, q) -> tuple:
     (a, a_is_m), (b, b_is_m) = p, q
     if not (a_is_m or b_is_m):
         return _settle(_compose(a, b))
-    (a0, a1, a2, a3) = a if a_is_m else _plus_eye(a)
-    (b0, b1, b2, b3) = b if b_is_m else _plus_eye(b)
-    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3), True
+    return _mul(a if a_is_m else _plus_eye(a), b if b_is_m else _plus_eye(b)), True
 
 
 def _interval_propagator(h, length: float, step: float) -> tuple:
@@ -259,61 +265,54 @@ def evolve_integrated(
 ) -> Trajectory:
     """RK4 evolution of the circuit state; global error O(step^4), ``step`` in seconds.
 
-    Same substeps as :func:`integrate_rk4` on the grid (prefixed by t = 0
-    when it starts later), one D = M - I per distinct length, stepped as
-    x[k + 1] = x[k] + D_k x[k]; but a grid bitwise np.linspace(0, t_end,
-    n + 1), as from :func:`uniform_grid`, takes one length t_end/n and its
-    states double as x[s + j] = x[j] + D_s x[j], j < s, where D_s = M^s - I
-    and D_2s = 2 D_s + D_s D_s. From the first power with max|M_s| < 1/2 on
-    (a decayed loss state, which D_s holds only to eps absolute), M_s itself is
-    kept, M_2s = M_s M_s and x[s + j] = M_s x[j]; the stepwise rule likewise.
-    Over 10^4 intervals the states stay within
-    1.0e-14 relative of the stepwise loop at the gain point (-0.3, 1) and
-    1.2e-13 at (-0.8, 1.8), far below the O(step^4) error the gates allow.
-    A grid of three or more samples with the shape and bytes of uniform_grid's memo
-    is linspace from 0 and skips the grid checks and the linspace test.
+    RK4 over an interval of length t is a fixed real 2x2 propagator M, kept as D = M - I,
+    so that its diagonal near 1 is not rounded, until max|M| < 1/2 (a decayed loss state,
+    which D holds only to eps absolute), then as M. A grid that starts later is prefixed by
+    t = 0. Each move sets x[dst + j] = x[src + j] + D x[src + j], or M x[src + j], j < width.
+    A grid bitwise np.linspace(0, t_end, n + 1), n >= 1, takes the one length t_end/n (so
+    integrate_rk4 on it can differ by a substep where linspace rounds an interval) and
+    doubles its states: x[s:2s] from x[0:s] by M^s, s = 1, 2, 4, ... <= n, D_2s = 2 D_s +
+    D_s D_s; uniform_grid's memo, by shape and bytes, is taken as one unchecked. Any other
+    grid moves x[k] to x[k + 1] by its interval's own propagator, one per distinct length,
+    as integrate_rk4 steps it. Over 10^4 intervals the doubled states stay within 1.0e-14
+    relative of the stepwise moves at the gain point (-0.3, 1) and 1.2e-13 at (-0.8, 1.8),
+    far below the O(step^4) error the gates allow.
     """
     if not step > 0:
         raise ValueError("step must be positive")
-    ts = np.asarray(times, dtype=float)
-    memo = _grid[1]
-    uniform = (memo is not None and memo.size > 2 and memo.shape == ts.shape
+    ts = _as_grid(times)
+    memo = _grid[1]  # checked linspace from 0; a one-sample [0] is not taken on trust
+    trusted = (memo is not None and memo.size > 1 and memo.shape == ts.shape
                and memo.tobytes() == ts.tobytes())
     full = ts
-    if not uniform:
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("time grid must be finite")
+    if not trusted:
         full = np.concatenate([[0.0], ts]) if ts.size and abs(ts[0]) > 0 else ts
-        spans = np.diff(full)
-        if not np.all((spans > 0) & np.isfinite(spans)):
-            raise ValueError("time grid must be strictly increasing")
-        uniform = spans.size > 1 and np.array_equal(full, np.linspace(0.0, full[-1], full.size))
+        spans = _rk_spans(full)
     n = full.size - 1
+    uniform = trusted or (n > 0 and np.array_equal(full, np.linspace(0.0, full[-1], n + 1)))
     h = hamiltonian(params)
     x = np.empty((2, full.size))  # -iH and Phi(0) are real: so are the states
     x[:, :1] = initial_state(init, params).real[:, None]
     # a huge generator overflows its propagators; the gates fail the inf/NaN
+    # a move (src, dst, width, i) takes x[:, src:src + width] to x[:, dst:dst + width] by props[i]
     with np.errstate(over="ignore", invalid="ignore"):
-        if uniform:
-            ds = [_interval_propagator(h, full[-1] / n, step)]  # linspace rounding aside, one M
+        if uniform:  # one doubling pass per power M^s, s = 2^p <= n
+            props = [_interval_propagator(h, full[-1] / n, step)]  # linspace rounding aside
             for _ in range(n.bit_length() - 1):
-                ds.append(_times(ds[-1], ds[-1]))
-            mats = np.array([d for d, _ in ds]).reshape(-1, 2, 2)  # M^s - I or M^s, s = 2^p <= n
-            for p, (d, (_, is_m)) in enumerate(zip(mats, ds)):
-                s = 1 << p
-                w = min(s, n + 1 - s)
-                if is_m:
-                    x[:, s:s + w] = d.dot(x[:, :w])
-                else:
-                    np.add(x[:, :w], d.dot(x[:, :w]), out=x[:, s:s + w])
-        else:
-            props: dict[float, tuple] = {}  # D = M - I, or M, per distinct length
-            for k, length in enumerate(spans.tolist()):
-                if length not in props:
-                    d, is_m = _interval_propagator(h, length, step)
-                    props[length] = np.reshape(d, (2, 2)), is_m
-                d, is_m = props[length]
-                x[:, k + 1] = d.dot(x[:, k]) if is_m else x[:, k] + d.dot(x[:, k])
+                props.append(_times(props[-1], props[-1]))
+            moves = [(0, 1 << p, min(1 << p, n + 1 - (1 << p)), p) for p in range(len(props))]
+        else:  # one move per interval, one propagator per distinct length
+            lengths = spans.tolist()
+            index = {t: i for i, t in enumerate(dict.fromkeys(lengths))}
+            props = [_interval_propagator(h, t, step) for t in index]
+            moves = [(k, k + 1, 1, index[t]) for k, t in enumerate(lengths)]
+        mats = list(np.array([d for d, _ in props]).reshape(-1, 2, 2))  # M - I, or M
+        for src, dst, width, i in moves:
+            d, x_src, x_dst = mats[i], x[:, src:src + width], x[:, dst:dst + width]
+            if props[i][1]:
+                x_dst[...] = d.dot(x_src)
+            else:
+                np.add(x_src, d.dot(x_src), out=x_dst)
     states = x.T[full.size - ts.size:].copy()
     return Trajectory(times=ts, states=states, method="integrated")
 

@@ -240,6 +240,27 @@ class TestSpectral:
         assert np.all(err <= 1e-14 * np.abs(expected).max(axis=0))
 
 
+class TestGridShape:
+    """Every route refuses a time grid that is not one-dimensional, with one message."""
+
+    ROUTES = {
+        "closed": lambda ts: evolve_closed_form(BP_REF, REST, ts),
+        "spectral": lambda ts: evolve_spectral(BP_REF, REST, ts),
+        "integrated": lambda ts: evolve_integrated(BP_REF, REST, ts, step=1e-3),
+        "rk4": lambda ts: integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], ts, 1e-3),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize(
+        "times", [1.0, np.float64(0.0), [[0.0, 1.0]], np.linspace(0.0, 1.0, 11)[None, :],
+                  [[0.0], [1.0]]],
+        ids=["scalar", "zero-d", "row-2", "row-11", "column"],
+    )
+    def test_refuses_a_grid_that_is_not_one_dimensional(self, route, times):
+        with pytest.raises(ValueError, match="^time grid must be one-dimensional$"):
+            self.ROUTES[route](times)
+
+
 class TestIntegrated:
     def test_norm_conserved_for_hermitian_generator(self):
         params = CircuitParams.from_rates(0.0, 1.0)
@@ -531,6 +552,15 @@ class TestIntegrated:
         with pytest.raises(ValueError, match=message):
             integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], [0.0, 1.0], step)
 
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, np.inf], [np.nan], [np.nan, 1.0]],
+                             ids=["nan", "inf", "nan-alone", "nan-start"])
+    def test_rk4_rejects_a_grid_that_is_not_finite(self, times):
+        # the refusal evolve_integrated gives too: no NaN interval reaches the substep count
+        for route in (lambda: integrate_rk4(hamiltonian(BP_REF), [1.0, 0.0], times, 1e-3),
+                      lambda: evolve_integrated(BP_REF, REST, times, step=1e-3)):
+            with pytest.raises(ValueError, match="^time grid must be finite$"):
+                route()
+
     def test_rk4_is_bitwise_the_stepwise_loop(self):
         h = hamiltonian(BP_REF)
         gen = -1j * h
@@ -570,7 +600,7 @@ class TestIntegrated:
 
 
 class TestGridCache:
-    """evolve_integrated takes a grid of three or more samples with the shape and bytes of
+    """evolve_integrated takes a grid of two or more samples with the shape and bytes of
     uniform_grid's memo as uniform from 0; every other grid gets the states or the refusal
     it gets with the memo cleared."""
 
@@ -621,7 +651,7 @@ class TestGridCache:
             edited = edited.reshape(1, -1)  # the memo's bytes in another shape
         elif edit == "negative-zero":
             edited[0] = -0.0
-        else:  # the memo itself, too short to be taken as uniform
+        else:  # the memo itself: two samples double unchecked, one sample [0] is checked
             edited = uniform_grid(0.1, 0.1) if edit == "two-sample" else uniform_grid(0.1, 1.0)
             assert edited.size == (2 if edit == "two-sample" else 1)
         expected = self.cold(edited)
